@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X heteromix/internal/buildinfo.Version=$(VERSION) \
            -X heteromix/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: all build vet test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
+.PHONY: all build vet test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream perfbench-build ci
 
 all: ci
 
@@ -155,4 +155,10 @@ bench-stream:
 		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer)' \
 		-benchmem -benchtime=3x
 
-ci: vet build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream
+# perfbench is its own module, so `go test ./...` never compiles it;
+# vet and build it here so a change to the internal/* APIs it calls
+# fails CI instead of the next benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
+ci: vet build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream perfbench-build

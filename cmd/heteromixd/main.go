@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	heteromixd [-addr :8080] [-cache n] [-table-cache n]
+//	heteromixd [-addr :8080] [-cache n]
 //	           [-max-concurrent n] [-timeout d] [-max-nodes n]
 //	           [-max-generic-space n] [-max-batch-items n]
 //	           [-noise s] [-seed n] [-cache-ttl d] [-drain-delay d]
@@ -19,7 +19,6 @@
 //	           [-profile-snapshot file]
 //	           [-preheat file] [-snapshot-interval d] [-peer-warm]
 //	           [-cache-bytes n] [-table-cache-bytes n]
-//	           [-stream-flush-bytes n] [-stream-flush-interval d]
 //
 // -shard makes this instance serve slice i/n of frontier-only generic
 // enumerations, -replicas makes it a coordinator that fans sharded
@@ -42,9 +41,9 @@
 //
 // The enumeration endpoints also serve streamed responses (NDJSON via
 // Accept: application/x-ndjson or ?stream=1, SSE via
-// GET /v1/enumerate-generic/stream) with incremental frontier deltas;
-// -stream-flush-bytes and -stream-flush-interval set the chunk
-// boundary policy. See the README "Streaming" section.
+// GET /v1/enumerate-generic/stream) with incremental frontier deltas,
+// flushed in 8 KiB chunks or every 100 ms, whichever comes first. See
+// the README "Streaming" section.
 package main
 
 import (
@@ -72,7 +71,6 @@ type daemonConfig struct {
 	noise            float64
 	seed             int64
 	cache            int
-	tableCache       int
 	maxConcurrent    int
 	maxNodes         int
 	maxGenericSpace  uint64
@@ -97,15 +95,12 @@ type daemonConfig struct {
 	peerWarm         bool
 	cacheBytes       int64
 	tableCacheBytes  int64
-	streamFlushBytes int
-	streamFlushEvery time.Duration
 }
 
 func main() {
 	var cfg daemonConfig
 	addr := flag.String("addr", ":8080", "listen address")
 	flag.IntVar(&cfg.cache, "cache", 4096, "result cache capacity in entries")
-	flag.IntVar(&cfg.tableCache, "table-cache", 0, "compiled kernel-table cache capacity in entries (0 = default)")
 	flag.IntVar(&cfg.maxBatchItems, "max-batch-items", 256, "largest item count one /v1/batch request may carry")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	flag.IntVar(&cfg.maxConcurrent, "max-concurrent", 0, "max concurrent model requests (0 = 4x GOMAXPROCS)")
@@ -132,8 +127,6 @@ func main() {
 	flag.BoolVar(&cfg.peerWarm, "peer-warm", false, "pull a cache snapshot from a healthy -replicas sibling at startup and after recovering from dead")
 	flag.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "result cache byte budget (0 = entries-only limit)")
 	flag.Int64Var(&cfg.tableCacheBytes, "table-cache-bytes", 0, "compiled kernel-table cache byte budget (0 = entries-only limit)")
-	flag.IntVar(&cfg.streamFlushBytes, "stream-flush-bytes", 8192, "streamed-response chunk boundary: flush to the client once this many encoded bytes accumulate")
-	flag.DurationVar(&cfg.streamFlushEvery, "stream-flush-interval", 100*time.Millisecond, "longest a streamed row may wait unflushed regardless of chunk fill")
 	cliutil.Parse(0)
 
 	srv, err := newServer(cfg)
@@ -186,35 +179,32 @@ func newServer(cfg daemonConfig) (*server.Server, error) {
 		return nil, err
 	}
 	return server.New(server.Options{
-		Models:              suite,
-		CacheEntries:        cfg.cache,
-		TableCacheEntries:   cfg.tableCache,
-		MaxConcurrent:       cfg.maxConcurrent,
-		MaxNodes:            cfg.maxNodes,
-		MaxGenericSpace:     cfg.maxGenericSpace,
-		MaxBatchItems:       cfg.maxBatchItems,
-		RequestTimeout:      cfg.timeout,
-		CacheTTL:            cfg.cacheTTL,
-		DrainDelay:          cfg.drainDelay,
-		Chaos:               chaos,
-		EnablePprof:         cfg.pprof,
-		DefaultShard:        defaultShard,
-		Replicas:            replicas,
-		RouteKey:            cfg.routeKey,
-		ProbeInterval:       cfg.probeInterval,
-		SuspectAfter:        cfg.suspectAfter,
-		DeadAfter:           cfg.deadAfter,
-		HedgeQuantile:       cfg.hedgeQuantile,
-		DisableHedge:        cfg.hedgeQuantile == 0,
-		RefitThreshold:      cfg.refitThreshold,
-		MaxFitSamples:       cfg.maxFitSamples,
-		ProfileSnapshot:     cfg.profileSnapshot,
-		SnapshotPath:        cfg.preheat,
-		SnapshotInterval:    cfg.snapshotInterval,
-		PeerWarm:            cfg.peerWarm,
-		CacheMaxBytes:       cfg.cacheBytes,
-		TableCacheMaxBytes:  cfg.tableCacheBytes,
-		StreamFlushBytes:    cfg.streamFlushBytes,
-		StreamFlushInterval: cfg.streamFlushEvery,
+		Models:             suite,
+		CacheEntries:       cfg.cache,
+		MaxConcurrent:      cfg.maxConcurrent,
+		MaxNodes:           cfg.maxNodes,
+		MaxGenericSpace:    cfg.maxGenericSpace,
+		MaxBatchItems:      cfg.maxBatchItems,
+		RequestTimeout:     cfg.timeout,
+		CacheTTL:           cfg.cacheTTL,
+		DrainDelay:         cfg.drainDelay,
+		Chaos:              chaos,
+		EnablePprof:        cfg.pprof,
+		DefaultShard:       defaultShard,
+		Replicas:           replicas,
+		RouteKey:           cfg.routeKey,
+		ProbeInterval:      cfg.probeInterval,
+		SuspectAfter:       cfg.suspectAfter,
+		DeadAfter:          cfg.deadAfter,
+		HedgeQuantile:      cfg.hedgeQuantile,
+		DisableHedge:       cfg.hedgeQuantile == 0,
+		RefitThreshold:     cfg.refitThreshold,
+		MaxFitSamples:      cfg.maxFitSamples,
+		ProfileSnapshot:    cfg.profileSnapshot,
+		SnapshotPath:       cfg.preheat,
+		SnapshotInterval:   cfg.snapshotInterval,
+		PeerWarm:           cfg.peerWarm,
+		CacheMaxBytes:      cfg.cacheBytes,
+		TableCacheMaxBytes: cfg.tableCacheBytes,
 	})
 }

@@ -23,8 +23,10 @@ import (
 // The point arithmetic is expression-for-expression the same as the
 // two-type spaceKernels.point (throughputs accumulate in type order,
 // work[i] = w·thr[i]/total, energies accumulate in type order), so a
-// two-type generic space is bit-identical to Space.Enumerate — a
-// property pinned by TestGenericTwoTypeBitIdenticalToSpace.
+// two-type generic space yields the same points as Space.Enumerate, bit
+// for bit. TestGenericTwoTypeMatchesSpace pins this: the two
+// enumerations' (time, energy) multisets must match exactly, on a 2x2
+// space and on the paper's 10x10 space (36,380 points).
 
 // genOption is one (count, per-node configuration) choice of a type;
 // count 0 is the absent option and carries no kernel.

@@ -95,37 +95,52 @@ func TestGenericSpaceSizeAndEnumeration(t *testing.T) {
 	}
 }
 
+// With the A15 absent, the generic enumeration reproduces the two-type
+// Space results point for point: the (time, energy) multisets match bit
+// for bit, on a small space and on the paper's full 10x10 space.
 func TestGenericTwoTypeMatchesSpace(t *testing.T) {
-	// With the A15 absent, the generic enumeration reproduces the
-	// two-type Space results point for point (as sets).
 	s := epSpace(t)
-	types := []GroupType{
-		{Model: s.ARM, MaxNodes: 2, NeedsSwitch: true},
-		{Model: s.AMD, MaxNodes: 2},
-	}
-	generic, err := EnumerateGroups(types, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoType, err := s.Enumerate(2, 2, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(generic) != len(twoType) {
-		t.Fatalf("sizes differ: generic %d, two-type %d", len(generic), len(twoType))
-	}
-	// Compare as multisets of (time, energy).
-	type te struct{ t, e float64 }
-	count := map[te]int{}
-	for _, p := range twoType {
-		count[te{float64(p.Time), float64(p.Energy)}]++
-	}
-	for _, p := range generic {
-		key := te{float64(p.Time), float64(p.Energy)}
-		if count[key] == 0 {
-			t.Fatalf("generic point (%v, %v) missing from two-type space", p.Time, p.Energy)
-		}
-		count[key]--
+	for _, tc := range []struct {
+		name           string
+		maxARM, maxAMD int
+		size           int
+	}{
+		{"2x2", 2, 2, 1516},
+		{"paper-10x10", 10, 10, 36380},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			types := []GroupType{
+				{Model: s.ARM, MaxNodes: tc.maxARM, NeedsSwitch: true},
+				{Model: s.AMD, MaxNodes: tc.maxAMD},
+			}
+			generic, err := EnumerateGroups(types, 50e6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twoType, err := s.Enumerate(tc.maxARM, tc.maxAMD, 50e6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(generic) != len(twoType) {
+				t.Fatalf("sizes differ: generic %d, two-type %d", len(generic), len(twoType))
+			}
+			if len(generic) != tc.size {
+				t.Fatalf("space holds %d points, want %d", len(generic), tc.size)
+			}
+			// Compare as multisets of (time, energy).
+			type te struct{ t, e float64 }
+			count := map[te]int{}
+			for _, p := range twoType {
+				count[te{float64(p.Time), float64(p.Energy)}]++
+			}
+			for _, p := range generic {
+				key := te{float64(p.Time), float64(p.Energy)}
+				if count[key] == 0 {
+					t.Fatalf("generic point (%v, %v) missing from two-type space", p.Time, p.Energy)
+				}
+				count[key]--
+			}
+		})
 	}
 }
 

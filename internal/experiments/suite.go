@@ -19,6 +19,7 @@ import (
 	"heteromix/internal/cluster"
 	"heteromix/internal/hwsim"
 	"heteromix/internal/model"
+	"heteromix/internal/servercache"
 	"heteromix/internal/tablecache"
 	"heteromix/internal/workloads"
 )
@@ -46,7 +47,7 @@ type Suite struct {
 	// switch-accounting) pair, shared across every experiment of the
 	// suite — the parallel `all` runner's stages each reuse one compiled
 	// table instead of rebuilding the kernel arrays per stage.
-	tables *tablecache.Cache
+	tables *servercache.Cache
 }
 
 // NewSuite creates a Suite with the paper's two node types.
@@ -153,7 +154,7 @@ func (s *Suite) Table(workload string, noSwitch bool) (*cluster.Table, error) {
 	}
 	space.NoSwitchEnergy = noSwitch
 	key := fmt.Sprintf("table|%s|%t", workload, noSwitch)
-	v, _, err := s.tables.Do(key, func() (tablecache.Artifact, error) {
+	v, _, err := s.tables.Do(key, func() (any, error) {
 		return space.NewTable()
 	})
 	if err != nil {

@@ -194,10 +194,12 @@ func TestFleetShardFailoverServesFull(t *testing.T) {
 }
 
 // partialKillPlan picks the single replica to keep alive so that at
-// least one shard's top-2 ring candidates are both dead (ring order
-// depends on the ephemeral listener ports, so the choice is computed,
-// not hard-coded), and returns the shard indices expected to fail.
-// alive is -1 when no such choice exists.
+// least one shard's top-2 ring candidates are both dead and at least
+// one shard still reaches the survivor (ring order depends on the
+// ephemeral listener ports, so the choice is computed, not hard-coded),
+// and returns the shard indices expected to fail. A survivor in no
+// shard's top-2 would fail every shard, which is the all-down error,
+// not a partial. alive is -1 when no such choice exists.
 func partialKillPlan(f *testFleet, shards int) (alive int, expectFailed []int) {
 	ring := shard.NewRing(f.urls, 0)
 	for cand := range f.urls {
@@ -208,7 +210,7 @@ func partialKillPlan(f *testFleet, shards int) (alive int, expectFailed []int) {
 				fails = append(fails, i)
 			}
 		}
-		if len(fails) > 0 {
+		if len(fails) > 0 && len(fails) < shards {
 			return cand, fails
 		}
 	}
@@ -226,7 +228,7 @@ func TestFleetPartialWhenFailoverExhausted(t *testing.T) {
 
 	alive, expectFailed := partialKillPlan(f, shards)
 	if alive < 0 {
-		t.Skip("every shard's top-2 walk contains every replica (astronomically unlikely)")
+		t.Skip("every shard has the same top-2 walk (astronomically unlikely)")
 	}
 	for i := range f.chaos {
 		if i != alive {

@@ -18,7 +18,6 @@ import (
 	"heteromix/internal/pareto"
 	"heteromix/internal/shard"
 	"heteromix/internal/stream"
-	"heteromix/internal/tablecache"
 )
 
 // NodeModelSource provides per-type fitted models for generic N-type
@@ -128,7 +127,7 @@ type genericTables struct {
 	full, pruned *cluster.GenericTable
 }
 
-// SizeBytes implements tablecache.Artifact.
+// SizeBytes reports the artifact's resident size to the table cache.
 func (g *genericTables) SizeBytes() int {
 	return g.full.SizeBytes() + g.pruned.SizeBytes()
 }
@@ -154,7 +153,7 @@ func genericKey(profileTag string, types []GenericTypeRequest) string {
 // build failures are never cached.
 func (s *Server) genericTablesFor(workload string, reqTypes []GenericTypeRequest, full []cluster.GroupType) (*genericTables, error) {
 	key := genericKey(s.profileTag(workload), reqTypes)
-	v, _, err := s.tables.Do(key, func() (tablecache.Artifact, error) {
+	v, _, err := s.tables.Do(key, func() (any, error) {
 		prunedTypes, err := cluster.PruneGroupTypes(full)
 		if err != nil {
 			return nil, err

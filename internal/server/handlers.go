@@ -25,7 +25,6 @@ import (
 	"heteromix/internal/hwsim"
 	"heteromix/internal/queueing"
 	"heteromix/internal/resilience"
-	"heteromix/internal/tablecache"
 	"heteromix/internal/units"
 	"heteromix/internal/workloads"
 )
@@ -259,7 +258,7 @@ func (s *Server) doFresh(key string, keyed bool, compute func() (any, error)) (v
 // identical requests collapse onto one build.
 func (s *Server) tableFor(workload string, noSwitch bool) (*cluster.Table, error) {
 	key := fmt.Sprintf("table|%s|%t", s.profileTag(workload), noSwitch)
-	v, _, err := s.tables.Do(key, func() (tablecache.Artifact, error) {
+	v, _, err := s.tables.Do(key, func() (any, error) {
 		space, err := s.models.Space(workload)
 		if err != nil {
 			return nil, fmt.Errorf("building models for %q: %w", workload, err)

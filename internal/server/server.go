@@ -10,15 +10,16 @@
 //	GET  /metrics       Prometheus text exposition
 //	GET  /debug/vars    expvar
 //
-// Underneath, a sharded LRU (internal/servercache) memoizes marshaled
-// results keyed on canonicalized request hashes, with singleflight
-// collapse so a thundering herd of identical enumerations computes each
-// space once; a second cache (internal/tablecache) holds compiled
-// kernel tables keyed by the cluster spec alone, so every work size and
-// deadline against one cluster shares a single compiled artifact. Every
-// request runs under a per-request timeout and a configurable
-// concurrency limiter (excess load is shed with 503 rather than queued
-// without bound), and Run drains in-flight requests on shutdown.
+// Underneath, two instances of one LRU with singleflight collapse
+// (internal/servercache) do the memoizing: the result cache holds
+// marshaled results keyed on canonicalized request hashes, so a
+// thundering herd of identical enumerations computes each space once;
+// the table cache (internal/tablecache) holds compiled kernel tables
+// keyed by the cluster spec alone, so every work size and deadline against one cluster shares a
+// single compiled artifact. Every request runs under a per-request
+// timeout and a configurable concurrency limiter (excess load is shed
+// with 503 rather than queued without bound), and Run drains in-flight
+// requests on shutdown.
 package server
 
 import (
@@ -61,12 +62,6 @@ type Options struct {
 	Models ModelSource
 	// CacheEntries bounds the result cache (default 4096 entries).
 	CacheEntries int
-	// TableCacheEntries bounds the compiled kernel-table cache (default
-	// tablecache.DefaultCapacity). Unlike the result cache, its keys
-	// canonicalize only the cluster spec — never work size, deadline or
-	// prune flag — so every request shape against the same cluster shares
-	// one compiled artifact.
-	TableCacheEntries int
 	// MaxConcurrent bounds simultaneously executing /v1/* requests;
 	// excess requests receive 503 (default 4×GOMAXPROCS).
 	MaxConcurrent int
@@ -93,8 +88,6 @@ type Options struct {
 	// BatchWorkers bounds the worker pool one /v1/batch request fans its
 	// items across (default GOMAXPROCS).
 	BatchWorkers int
-	// Registry receives the server's metrics (default: a fresh one).
-	Registry *metrics.Registry
 	// CacheTTL bounds how long an enumerate result may serve without a
 	// recompute; 0 disables expiry. With a TTL set, a recompute failure
 	// serves the expired entry marked "degraded": true instead of an
@@ -175,28 +168,16 @@ type Options struct {
 	// persist atomically every interval and once more on Close. 0
 	// disables the writer (an existing file still preheats).
 	SnapshotInterval time.Duration
-	// MaxSnapshotBytes caps accepted and served snapshots — the preheat
-	// file, GET /v1/snapshot responses and peer-warm pulls (default
-	// 64 MiB).
-	MaxSnapshotBytes int64
 	// PeerWarm pulls a healthy ring sibling's snapshot over
 	// GET /v1/snapshot the first time the fleet prober sees one healthy,
 	// warming this replica's caches after a cold start or recovery.
 	// Requires Replicas.
 	PeerWarm bool
-	// StreamFlushBytes is the streamed-response chunk boundary: encoded
-	// rows accumulate in a pooled buffer and flush to the client when it
-	// crosses this many bytes (default 8 KiB).
-	StreamFlushBytes int
-	// StreamFlushInterval bounds how long a streamed row may sit
-	// unflushed regardless of chunk fill, so a slow walk still feeds a
-	// live consumer (default 100ms).
-	StreamFlushInterval time.Duration
 	// CacheMaxBytes bounds the result cache's resident response-body
 	// bytes (0 = unlimited; entries still bound it).
 	CacheMaxBytes int64
 	// TableCacheMaxBytes bounds the compiled kernel-table cache's
-	// resident bytes (0 = unlimited; entries still bound it).
+	// resident bytes (0 = unlimited; its 64-entry cap still bounds it).
 	TableCacheMaxBytes int64
 }
 
@@ -219,7 +200,7 @@ type Server struct {
 	opts   Options
 	models ModelSource
 	cache  *servercache.Cache
-	tables *tablecache.Cache
+	tables *servercache.Cache
 	reg    *metrics.Registry
 	mux    *http.ServeMux
 	sem    chan struct{}
@@ -356,9 +337,6 @@ func New(opts Options) (*Server, error) {
 	if opts.BatchWorkers <= 0 {
 		opts.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Registry == nil {
-		opts.Registry = metrics.NewRegistry()
-	}
 	if opts.BreakerThreshold <= 0 {
 		opts.BreakerThreshold = 5
 	}
@@ -414,12 +392,6 @@ func New(opts Options) (*Server, error) {
 	if opts.SnapshotInterval < 0 {
 		return nil, fmt.Errorf("server: negative snapshot interval %v", opts.SnapshotInterval)
 	}
-	if opts.MaxSnapshotBytes < 0 {
-		return nil, fmt.Errorf("server: negative snapshot byte cap %d", opts.MaxSnapshotBytes)
-	}
-	if opts.MaxSnapshotBytes == 0 {
-		opts.MaxSnapshotBytes = defaultMaxSnapshotBytes
-	}
 	if opts.CacheMaxBytes < 0 || opts.TableCacheMaxBytes < 0 {
 		return nil, fmt.Errorf("server: cache byte limits must be non-negative")
 	}
@@ -430,8 +402,8 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:   opts,
 		cache:  servercache.New(opts.CacheEntries),
-		tables: tablecache.New(opts.TableCacheEntries),
-		reg:    opts.Registry,
+		tables: tablecache.New(0),
+		reg:    metrics.NewRegistry(),
 		mux:    http.NewServeMux(),
 		sem:    make(chan struct{}, opts.MaxConcurrent),
 		start:  time.Now(),
@@ -964,7 +936,7 @@ func (s *Server) Addr() string {
 func (s *Server) CacheStats() servercache.Stats { return s.cache.Stats() }
 
 // TableCacheStats exposes the compiled kernel-table cache's counters.
-func (s *Server) TableCacheStats() tablecache.Stats { return s.tables.Stats() }
+func (s *Server) TableCacheStats() servercache.Stats { return s.tables.Stats() }
 
 // TableBuilds reports how many kernel tables have been built — the
 // number a singleflight-collapsed herd keeps at one per distinct space.

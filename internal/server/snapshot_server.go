@@ -38,13 +38,14 @@ import (
 	"heteromix/internal/buildinfo"
 	"heteromix/internal/cluster"
 	"heteromix/internal/fleethealth"
+	"heteromix/internal/servercache"
 	"heteromix/internal/snapshot"
-	"heteromix/internal/tablecache"
 )
 
 const (
-	// defaultMaxSnapshotBytes caps snapshot files and bodies (64 MiB).
-	defaultMaxSnapshotBytes = 64 << 20
+	// maxSnapshotBytes caps accepted and served snapshots — the preheat
+	// file, GET /v1/snapshot responses and peer-warm pulls (64 MiB).
+	maxSnapshotBytes = 64 << 20
 	// profileHashHeader carries the requester's calibration state hash on
 	// GET /v1/snapshot; a mismatch answers 409 instead of serving entries
 	// the requester could never validate.
@@ -151,7 +152,7 @@ func (s *Server) buildSnapshot(maxTables, maxResults int) *snapshot.Snapshot {
 // during the apply pass.
 type keyedArtifact struct {
 	key string
-	val tablecache.Artifact
+	val interface{ SizeBytes() int }
 }
 
 // applySnapshot validates a decoded snapshot against this server's
@@ -196,34 +197,8 @@ func (s *Server) applySnapshot(snap *snapshot.Snapshot) error {
 	// Trim each list to the hottest prefix that fits. The combined table
 	// list walks two-type tables before generic artifacts — the predict
 	// hot path wins when the byte budget cannot hold both.
-	keptTables := 0
-	var tableBytes int64
-	capN, budget := s.tables.Capacity(), s.tables.MaxBytes()
-	for _, a := range arts {
-		if keptTables >= capN {
-			break
-		}
-		if sz := int64(a.val.SizeBytes()); budget > 0 && tableBytes+sz > budget {
-			break
-		} else {
-			tableBytes += sz
-		}
-		keptTables++
-	}
-	keptResults := 0
-	var resultBytes int64
-	rbudget := s.cache.MaxBytes()
-	for _, e := range snap.Results {
-		if keptResults >= s.opts.CacheEntries {
-			break
-		}
-		if sz := int64(len(e.Body)); rbudget > 0 && resultBytes+sz > rbudget {
-			break
-		} else {
-			resultBytes += sz
-		}
-		keptResults++
-	}
+	keptTables := hottestFit(s.tables, len(arts), func(i int) int64 { return int64(arts[i].val.SizeBytes()) })
+	keptResults := hottestFit(s.cache, len(snap.Results), func(i int) int64 { return int64(len(snap.Results[i].Body)) })
 
 	// Insert coldest-first so the caches' recency order ends hottest-
 	// first, exactly as the donor held them.
@@ -243,6 +218,20 @@ func (s *Server) applySnapshot(snap *snapshot.Snapshot) error {
 	return nil
 }
 
+// hottestFit returns how many of n entries, hottest first and sized by
+// size, fit c's entry cap and byte limit.
+func hottestFit(c *servercache.Cache, n int, size func(i int) int64) int {
+	n = min(n, c.Capacity())
+	budget := c.MaxBytes()
+	var used int64
+	for i := 0; i < n; i++ {
+		if used += size(i); budget > 0 && used > budget {
+			return i
+		}
+	}
+	return n
+}
+
 func (s *Server) setSnapInfo(snap *snapshot.Snapshot, tables, generic, results int) {
 	s.snapMu.Lock()
 	s.snapInfo = snapshotInfo{
@@ -260,7 +249,7 @@ func (s *Server) setSnapInfo(snap *snapshot.Snapshot, tables, generic, results i
 // counted and skipped (cold start); a corrupt one is an error the
 // caller turns into a failed New.
 func (s *Server) preheat(path string) error {
-	snap, err := snapshot.ReadFile(path, s.opts.MaxSnapshotBytes)
+	snap, err := snapshot.ReadFile(path, maxSnapshotBytes)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -319,7 +308,7 @@ func (s *Server) saveSnapshot() {
 // calibration hash (X-Profile-Hash or ?profile_hash=) and differs gets
 // 409 — cheaper than shipping megabytes the requester must then reject,
 // and it keeps cache poisoning structurally impossible. Oversized
-// harvests are halved until they fit MaxSnapshotBytes: a size-capped
+// harvests are halved until they fit maxSnapshotBytes: a size-capped
 // snapshot drops the coldest entries, never the hottest.
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	want := r.Header.Get(profileHashHeader)
@@ -337,7 +326,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	snap := s.BuildSnapshot()
 	data := snapshot.Encode(snap)
 	tl, rl := len(snap.Tables)+len(snap.Generic), len(snap.Results)
-	for int64(len(data)) > s.opts.MaxSnapshotBytes && (tl > 0 || rl > 0) {
+	for int64(len(data)) > maxSnapshotBytes && (tl > 0 || rl > 0) {
 		tl, rl = tl/2, rl/2
 		snap = s.buildSnapshot(tl, rl)
 		data = snapshot.Encode(snap)
@@ -428,7 +417,7 @@ func (s *Server) WarmFromPeer(ctx context.Context, target string) error {
 			return err
 		}
 		defer resp.Body.Close()
-		body, err = io.ReadAll(io.LimitReader(resp.Body, s.opts.MaxSnapshotBytes+1))
+		body, err = io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBytes+1))
 		if err != nil {
 			return err
 		}
@@ -445,11 +434,11 @@ func (s *Server) WarmFromPeer(ctx context.Context, target string) error {
 	case status != http.StatusOK:
 		s.snapshotRejects.Inc()
 		return fmt.Errorf("peer %s answered %d to snapshot pull", target, status)
-	case int64(len(body)) > s.opts.MaxSnapshotBytes:
+	case int64(len(body)) > maxSnapshotBytes:
 		s.snapshotRejects.Inc()
 		return fmt.Errorf("peer %s snapshot: %w", target, snapshot.ErrTooLarge)
 	}
-	snap, err := snapshot.DecodeLimited(body, s.opts.MaxSnapshotBytes)
+	snap, err := snapshot.DecodeLimited(body, maxSnapshotBytes)
 	if err != nil {
 		s.snapshotRejects.Inc()
 		return fmt.Errorf("peer %s snapshot: %w", target, err)

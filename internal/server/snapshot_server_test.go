@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"heteromix/internal/cluster"
 	"heteromix/internal/snapshot"
 )
 
@@ -148,7 +149,7 @@ func TestPreheatRespectsTableByteLimit(t *testing.T) {
 	}
 	b := newTestServer(t, Options{
 		SnapshotPath:       path,
-		TableCacheMaxBytes: int64(hottest.SizeBytes()),
+		TableCacheMaxBytes: int64(hottest.(*cluster.Table).SizeBytes()),
 	})
 	st := b.TableCacheStats()
 	if st.Entries != 1 {

@@ -98,8 +98,8 @@ type liveStream struct {
 }
 
 // startStream commits the response to streaming: headers, status, the
-// gzip stage when negotiated, and the record writer with the server's
-// flush policy. After this point errors can only be reported in-band.
+// gzip stage when negotiated, and the record writer with stream's
+// default flush policy (8 KiB chunks, 100 ms). After this point errors can only be reported in-band.
 func (s *Server) startStream(w http.ResponseWriter, r *http.Request, format stream.Format) *liveStream {
 	h := w.Header()
 	if format == stream.SSE {
@@ -128,10 +128,7 @@ func (s *Server) startStream(w http.ResponseWriter, r *http.Request, format stre
 		}
 		return nil
 	}
-	ls.sw = stream.NewWriter(dst, push, format, stream.Policy{
-		FlushBytes:    s.opts.StreamFlushBytes,
-		FlushInterval: s.opts.StreamFlushInterval,
-	})
+	ls.sw = stream.NewWriter(dst, push, format, stream.Policy{})
 	w.WriteHeader(http.StatusOK)
 	return ls
 }

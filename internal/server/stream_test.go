@@ -294,7 +294,7 @@ func TestStreamFleetDegradedPartial(t *testing.T) {
 	f := newFleet(t, 4, Options{DisableHedge: true}, Options{})
 	alive, expectFailed := partialKillPlan(f, shards)
 	if alive < 0 {
-		t.Skip("every shard's top-2 walk contains every replica (astronomically unlikely)")
+		t.Skip("every shard has the same top-2 walk (astronomically unlikely)")
 	}
 	for i := range f.chaos {
 		if i != alive {

@@ -125,7 +125,7 @@ func TestPoisonedEntryNeverServes(t *testing.T) {
 		t.Fatalf("served %v, want the pre-failure value", v)
 	}
 	// The poison value must not have entered the cache.
-	if got, _ := clkC.peek("k"); got != "good" {
+	if got, _ := clkC.lookup("k", 0, false); got != "good" {
 		t.Fatalf("cache holds %v after failed recompute", got)
 	}
 	// And on the plain-Do cache, a pure failure serves nothing.

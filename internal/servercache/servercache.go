@@ -1,13 +1,17 @@
-// Package servercache is the serving layer's result cache: a sharded LRU
-// keyed on canonicalized request hashes, with singleflight collapse so a
-// thundering herd of identical expensive queries (kernel-table builds,
-// full-space enumerations) computes each result exactly once while every
-// waiter shares it.
+// Package servercache is the serving layer's cache: a sharded LRU with
+// singleflight collapse, so a thundering herd of identical expensive
+// computations (kernel-table builds, full-space enumerations) runs each
+// one exactly once while every waiter shares the result. The daemon
+// keeps two instances: one of marshaled response bodies keyed on
+// canonicalized requests, and one of compiled kernel tables keyed on the
+// cluster spec alone.
 //
 // Sharding bounds lock contention — a key's shard is fixed by an FNV-1a
 // hash, so two concurrent requests serialize only when they collide on a
 // shard — and each shard runs its own LRU list, so eviction decisions
-// are shard-local and O(1).
+// are shard-local and O(1). The shard count follows from the capacity
+// (see New): a large cache spreads over 16 shards, a small one is a
+// single exact LRU.
 package servercache
 
 import (
@@ -17,28 +21,35 @@ import (
 	"time"
 )
 
-// shardCount is a power of two so shard selection is a mask. 16 shards
-// keep per-shard contention negligible at the daemon's concurrency caps.
-const shardCount = 16
+const (
+	// maxShards bounds the shard count. It is a power of two so shard
+	// selection is a mask; 16 shards keep per-shard contention
+	// negligible at the daemon's concurrency caps.
+	maxShards = 16
+	// entriesPerShard is how much capacity earns one more shard: a cache
+	// below 2×entriesPerShard entries is one exact LRU.
+	entriesPerShard = 256
+)
 
 // shard is one LRU: a mutex, the lookup map and the recency list
 // (front = most recent).
 type shard struct {
 	mu  sync.Mutex
 	cap int
-	// maxBytes bounds the shard's summed sizeOf (0 = unlimited).
+	// maxBytes bounds the shard's summed entry sizes (0 = unlimited).
 	maxBytes int64
 	ll       *list.List
 	m        map[string]*list.Element
-	// bytes sums the sizes of the shard's byte-slice values (see sizeOf).
+	// bytes sums the sizes of the shard's entries (see sizeOf).
 	bytes int64
 }
 
 // lruEntry is a recency-list payload. storedAt supports DoFresh's
-// staleness checks; plain Get/Do ignore it.
+// staleness checks; size is the entry's sizeOf, fixed at insert.
 type lruEntry struct {
 	key      string
 	val      any
+	size     int64
 	storedAt time.Time
 }
 
@@ -52,7 +63,7 @@ type call struct {
 
 // Stats is a point-in-time view of the cache's effectiveness.
 type Stats struct {
-	// Hits and Misses count Get outcomes (Do's fast path counts too).
+	// Hits and Misses count lookup outcomes (Do's fast path counts too).
 	Hits, Misses uint64
 	// Evictions counts LRU entries dropped to capacity pressure.
 	Evictions uint64
@@ -64,9 +75,8 @@ type Stats struct {
 	StaleServes uint64
 	// Entries is the current number of cached values.
 	Entries int
-	// Bytes is the summed length of cached []byte values (marshaled
-	// response bodies). Non-byte-slice values (kernel tables) count as
-	// zero — the number tracks response-body residency, not total heap.
+	// Bytes is the summed size of cached values (see sizeOf): response
+	// bodies count their length and compiled tables their SizeBytes.
 	Bytes int64
 }
 
@@ -81,7 +91,12 @@ func (s Stats) HitRatio() float64 {
 // Cache is a sharded LRU with singleflight. The zero value is not
 // usable; construct with New.
 type Cache struct {
-	shards [shardCount]shard
+	shards   []shard
+	mask     uint32
+	capacity int
+	// maxBytes is the configured byte limit (0 = unlimited), reported by
+	// MaxBytes; each shard enforces its even share of it.
+	maxBytes atomic.Int64
 
 	// now is the staleness clock, injectable in tests.
 	now func() time.Time
@@ -92,14 +107,33 @@ type Cache struct {
 	hits, misses, evictions, collapsed, staleServes atomic.Uint64
 }
 
-// New returns a cache holding at most capacity entries in total
-// (rounded up to one per shard; capacity < shardCount still caches).
-func New(capacity int) *Cache {
-	if capacity < shardCount {
-		capacity = shardCount
+// shardsFor is the shard count of a cache holding capacity entries: one
+// shard per entriesPerShard entries, rounded down to a power of two and
+// clamped to [1, maxShards].
+func shardsFor(capacity int) int {
+	n := 1
+	for n < maxShards && 2*n*entriesPerShard <= capacity {
+		n *= 2
 	}
-	c := &Cache{now: time.Now, flight: make(map[string]*call)}
-	per := (capacity + shardCount - 1) / shardCount
+	return n
+}
+
+// New returns a cache holding at most capacity entries in total
+// (capacity < 1 holds one). The capacity is split evenly across the
+// shards, rounding each shard's share up.
+func New(capacity int) *Cache {
+	if capacity < 1 {
+		capacity = 1
+	}
+	n := shardsFor(capacity)
+	c := &Cache{
+		shards:   make([]shard, n),
+		mask:     uint32(n - 1),
+		capacity: capacity,
+		now:      time.Now,
+		flight:   make(map[string]*call),
+	}
+	per := (capacity + n - 1) / n
 	for i := range c.shards {
 		c.shards[i] = shard{cap: per, ll: list.New(), m: make(map[string]*list.Element)}
 	}
@@ -107,10 +141,14 @@ func New(capacity int) *Cache {
 }
 
 // sizeOf is the byte accounting applied to cached values: the length of
-// a []byte body, zero for anything else.
+// a []byte, SizeBytes of a value that reports it, zero for anything
+// else.
 func sizeOf(val any) int64 {
-	if b, ok := val.([]byte); ok {
-		return int64(len(b))
+	switch v := val.(type) {
+	case []byte:
+		return int64(len(v))
+	case interface{ SizeBytes() int }:
+		return int64(v.SizeBytes())
 	}
 	return 0
 }
@@ -126,69 +164,82 @@ func fnv1a(key string) uint32 {
 }
 
 func (c *Cache) shardFor(key string) *shard {
-	return &c.shards[fnv1a(key)&(shardCount-1)]
+	return &c.shards[fnv1a(key)&c.mask]
 }
 
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache) Get(key string) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		s.ll.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry).val, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Add stores key → val, evicting the shard's least recently used entry
-// if the shard is full. Re-adding an existing key refreshes its value
-// and recency.
-func (c *Cache) Add(key string, val any) {
+// lookup returns the cached value for key and marks it most recently
+// used. An entry at least maxAge old counts as absent (maxAge <= 0
+// disables the check); count selects whether the outcome feeds the
+// hit/miss counters.
+func (c *Cache) lookup(key string, maxAge time.Duration, count bool) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
 		e := el.Value.(*lruEntry)
-		s.bytes += sizeOf(val) - sizeOf(e.val)
-		e.val, e.storedAt = val, c.now()
-		s.ll.MoveToFront(el)
-		return
+		if maxAge <= 0 || c.now().Sub(e.storedAt) < maxAge {
+			s.ll.MoveToFront(el)
+			if count {
+				c.hits.Add(1)
+			}
+			return e.val, true
+		}
 	}
-	s.m[key] = s.ll.PushFront(&lruEntry{key: key, val: val, storedAt: c.now()})
-	s.bytes += sizeOf(val)
+	if count {
+		c.misses.Add(1)
+	}
+	return nil, false
+}
+
+// Get returns the cached value for key, marking it most recently used.
+func (c *Cache) Get(key string) (any, bool) { return c.lookup(key, 0, true) }
+
+// Add stores key → val and evicts the shard's least recently used
+// entries until its entry cap and byte limit hold again. Re-adding an
+// existing key refreshes its value, size and recency.
+func (c *Cache) Add(key string, val any) {
+	s := c.shardFor(key)
+	size := sizeOf(val)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.m[key]; ok {
+		e := el.Value.(*lruEntry)
+		s.bytes += size - e.size
+		e.val, e.size, e.storedAt = val, size, c.now()
+		s.ll.MoveToFront(el)
+	} else {
+		s.m[key] = s.ll.PushFront(&lruEntry{key: key, val: val, size: size, storedAt: c.now()})
+		s.bytes += size
+	}
 	c.evictLocked(s)
 }
 
 // evictLocked drops the shard's least-recently-used entries until both
 // the entry cap and the byte limit hold. The newest entry survives even
-// when it alone exceeds the limit: an empty cache is strictly worse.
+// when it alone exceeds the limit: evicting it would just force the next
+// request to recompute it, the exact cost the cache exists to amortize.
 func (c *Cache) evictLocked(s *shard) {
 	for s.ll.Len() > 1 && (s.ll.Len() > s.cap || (s.maxBytes > 0 && s.bytes > s.maxBytes)) {
 		oldest := s.ll.Back()
 		s.ll.Remove(oldest)
 		e := oldest.Value.(*lruEntry)
 		delete(s.m, e.key)
-		s.bytes -= sizeOf(e.val)
+		s.bytes -= e.size
 		c.evictions.Add(1)
 	}
 }
 
-// SetMaxBytes bounds the summed sizeOf of cached values across the
-// whole cache (0 or negative removes the bound). The bound is split
-// evenly across shards, so a pathological key distribution can evict
-// below the global figure — the limit is a ceiling, not a fill target.
-// Lowering it evicts immediately, coldest first per shard.
+// SetMaxBytes bounds the summed size of cached values across the whole
+// cache (0 or negative removes the bound). The bound is split evenly
+// across shards, so a pathological key distribution can evict below the
+// global figure — the limit is a ceiling, not a fill target. Lowering it
+// evicts immediately, coldest first per shard.
 func (c *Cache) SetMaxBytes(n int64) {
 	if n < 0 {
 		n = 0
 	}
-	per := n
-	if per > 0 {
-		per = (n + shardCount - 1) / shardCount
-	}
+	c.maxBytes.Store(n)
+	per := (n + int64(len(c.shards)) - 1) / int64(len(c.shards))
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -198,17 +249,11 @@ func (c *Cache) SetMaxBytes(n int64) {
 	}
 }
 
-// MaxBytes returns the global byte limit (0 = unlimited).
-func (c *Cache) MaxBytes() int64 {
-	s := &c.shards[0]
-	s.mu.Lock()
-	per := s.maxBytes
-	s.mu.Unlock()
-	if per == 0 {
-		return 0
-	}
-	return per * shardCount
-}
+// MaxBytes returns the byte limit SetMaxBytes set (0 = unlimited).
+func (c *Cache) MaxBytes() int64 { return c.maxBytes.Load() }
+
+// Capacity returns the entry cap New was given.
+func (c *Cache) Capacity() int { return c.capacity }
 
 // Entry is one cached (key, value) pair as exported by Hottest.
 type Entry struct {
@@ -217,13 +262,14 @@ type Entry struct {
 }
 
 // Hottest returns up to limit entries, hottest first (limit <= 0
-// returns everything). Recency is shard-local, so the global order is
-// approximated by interleaving the shards' lists front-to-back: the
-// i-th round takes each shard's i-th most recent entry. It does not
-// touch recency or the hit/miss counters: snapshotting the cache must
-// not reorder it.
+// returns everything). Recency is shard-local, so with several shards
+// the global order is approximated by interleaving their lists
+// front-to-back: the i-th round takes each shard's i-th most recent
+// entry. A single-shard cache reports its exact recency order. Hottest
+// does not touch recency or the hit/miss counters: snapshotting the
+// cache must not reorder it.
 func (c *Cache) Hottest(limit int) []Entry {
-	perShard := make([][]Entry, shardCount)
+	perShard := make([][]Entry, len(c.shards))
 	total := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -261,76 +307,16 @@ func (c *Cache) Hottest(limit int) []Entry {
 // next Do retries. cached reports whether the value came from the cache
 // without running or waiting on fn.
 func (c *Cache) Do(key string, fn func() (any, error)) (val any, cached bool, err error) {
-	if v, ok := c.Get(key); ok {
-		return v, true, nil
-	}
-	c.flightMu.Lock()
-	if cl, ok := c.flight[key]; ok {
-		c.flightMu.Unlock()
-		c.collapsed.Add(1)
-		cl.wg.Wait()
-		return cl.val, false, cl.err
-	}
-	cl := &call{}
-	cl.wg.Add(1)
-	c.flight[key] = cl
-	c.flightMu.Unlock()
-
-	// Re-check under flight ownership: another caller may have completed
-	// and cached between our Get miss and claiming the flight slot.
-	if v, ok := c.Get(key); ok {
-		cl.val = v
-	} else {
-		cl.val, cl.err = fn()
-		if cl.err == nil {
-			c.Add(key, cl.val)
-		}
-	}
-
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	cl.wg.Done()
-	return cl.val, false, cl.err
-}
-
-// getFresh returns the cached value only if it is younger than maxAge
-// (maxAge <= 0 disables the check, matching Get). Counts hits/misses.
-func (c *Cache) getFresh(key string, maxAge time.Duration) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		e := el.Value.(*lruEntry)
-		if maxAge <= 0 || c.now().Sub(e.storedAt) < maxAge {
-			s.ll.MoveToFront(el)
-			c.hits.Add(1)
-			return e.val, true
-		}
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// peek returns the cached value regardless of age, without touching the
-// hit/miss counters (it backs the stale-fallback path, which already
-// counted a miss).
-func (c *Cache) peek(key string) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		s.ll.MoveToFront(el)
-		return el.Value.(*lruEntry).val, true
-	}
-	return nil, false
+	val, cached, _, err = c.DoFresh(key, 0, fn)
+	return val, cached, err
 }
 
 // DoFresh is Do with a freshness bound and graceful degradation: a
-// cached value older than maxAge is recomputed, and when the recompute
-// fails an expired entry is served anyway. cached reports a fresh hit
-// (no compute ran or was waited on, as in Do); the stale flag and error
-// distinguish the remaining cases:
+// cached value at least maxAge old is recomputed (maxAge <= 0: values
+// never expire, exactly Do), and when the recompute fails an expired
+// entry is served anyway. cached reports a fresh hit (no compute ran or
+// was waited on, as in Do); the stale flag and error distinguish the
+// remaining cases:
 //
 //   - fresh hit or successful compute: (val, _, false, nil)
 //   - compute failed, stale entry available: (staleVal, false, true, err)
@@ -340,10 +326,10 @@ func (c *Cache) peek(key string) (any, bool) {
 //
 // Errors never overwrite the cached entry, so a failing dependency
 // cannot poison the cache. Concurrent callers for the same key collapse
-// exactly like Do and share the same outcome, including the stale flag
-// and error.
+// onto one computation and share the same outcome, including the stale
+// flag and error.
 func (c *Cache) DoFresh(key string, maxAge time.Duration, fn func() (any, error)) (val any, cached, stale bool, err error) {
-	if v, ok := c.getFresh(key, maxAge); ok {
+	if v, ok := c.lookup(key, maxAge, true); ok {
 		return v, true, false, nil
 	}
 	c.flightMu.Lock()
@@ -358,17 +344,23 @@ func (c *Cache) DoFresh(key string, maxAge time.Duration, fn func() (any, error)
 	c.flight[key] = cl
 	c.flightMu.Unlock()
 
-	// Re-check under flight ownership, as in Do.
-	if v, ok := c.getFresh(key, maxAge); ok {
+	// Re-check under flight ownership: another caller may have completed
+	// and cached between our miss and claiming the flight slot.
+	if v, ok := c.lookup(key, maxAge, true); ok {
 		cl.val = v
 	} else if v, ferr := fn(); ferr == nil {
 		cl.val = v
 		c.Add(key, v)
-	} else if sv, sok := c.peek(key); sok {
-		cl.val, cl.stale, cl.err = sv, true, ferr
-		c.staleServes.Add(1)
 	} else {
 		cl.err = ferr
+		// Without a freshness bound nothing expires, so there is no
+		// stale entry to fall back to.
+		if maxAge > 0 {
+			if sv, ok := c.lookup(key, 0, false); ok {
+				cl.val, cl.stale = sv, true
+				c.staleServes.Add(1)
+			}
+		}
 	}
 
 	c.flightMu.Lock()
@@ -407,7 +399,7 @@ func (c *Cache) DeleteFunc(pred func(key string) bool) int {
 			}
 			s.ll.Remove(el)
 			delete(s.m, key)
-			s.bytes -= sizeOf(el.Value.(*lruEntry).val)
+			s.bytes -= el.Value.(*lruEntry).size
 			n++
 		}
 		s.mu.Unlock()
@@ -428,7 +420,7 @@ func (c *Cache) Reset() {
 	}
 }
 
-// Bytes returns the summed length of cached []byte values.
+// Bytes returns the summed size of cached values.
 func (c *Cache) Bytes() int64 {
 	var n int64
 	for i := range c.shards {

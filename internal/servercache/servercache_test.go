@@ -33,51 +33,90 @@ func TestGetAddRoundTrip(t *testing.T) {
 	}
 }
 
+// sized is a test value that reports its own size, as compiled kernel
+// tables do.
+type sized int
+
+func (s sized) SizeBytes() int { return int(s) }
+
+func TestShardCountFollowsCapacity(t *testing.T) {
+	for _, tc := range []struct{ capacity, shards int }{
+		{-1, 1}, {1, 1}, {64, 1}, {511, 1}, {512, 2}, {1000, 2},
+		{2048, 8}, {4096, 16}, {1 << 20, 16},
+	} {
+		if got := len(New(tc.capacity).shards); got != tc.shards {
+			t.Errorf("New(%d) has %d shards, want %d", tc.capacity, got, tc.shards)
+		}
+	}
+}
+
+// fullCapacity is the smallest capacity that spreads over every shard.
+const fullCapacity = maxShards * entriesPerShard
+
 func TestLRUEvictionPerShard(t *testing.T) {
-	// Capacity 16 → one entry per shard: any two same-shard keys evict.
-	c := New(16)
-	const n = 200
+	c := New(fullCapacity)
+	if len(c.shards) != maxShards {
+		t.Fatalf("New(%d) has %d shards, want %d", fullCapacity, len(c.shards), maxShards)
+	}
+	n := 3 * fullCapacity
 	for i := 0; i < n; i++ {
 		c.Add(fmt.Sprintf("key-%d", i), i)
 	}
-	if c.Len() > shardCount {
-		t.Fatalf("Len() = %d, want <= %d at capacity 16", c.Len(), shardCount)
+	if c.Len() > fullCapacity {
+		t.Fatalf("Len() = %d, want <= %d", c.Len(), fullCapacity)
+	}
+	for i := range c.shards {
+		if got, limit := c.shards[i].ll.Len(), c.shards[i].cap; got > limit {
+			t.Fatalf("shard %d holds %d entries, cap %d", i, got, limit)
+		}
 	}
 	if ev := c.Stats().Evictions; ev == 0 {
 		t.Fatal("no evictions recorded despite overflow")
 	}
-	// The most recently added key of some shard must survive; at least
-	// one of the last shardCount keys is its shard's newest.
-	survivors := 0
-	for i := n - shardCount; i < n; i++ {
-		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); ok {
-			survivors++
+	// Every shard's newest key survives, so the most recently added keys
+	// must all still be there.
+	for i := n - maxShards; i < n; i++ {
+		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); !ok {
+			t.Fatalf("eviction dropped key-%d, one of the most recently used entries", i)
 		}
-	}
-	if survivors == 0 {
-		t.Error("eviction dropped even the most recently used entries")
 	}
 }
 
+// A full shard evicts its least recently used entry: touching the
+// oldest key makes the next-oldest the victim. The single-shard case is
+// an exact LRU over the whole cache.
 func TestLRUEvictsOldestNotRecentlyUsed(t *testing.T) {
-	c := New(shardCount) // one per shard
-	// Find two keys landing in the same shard.
-	base := "a"
-	var sibling string
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("b%d", i)
-		if c.shardFor(k) == c.shardFor(base) {
-			sibling = k
-			break
-		}
-	}
-	c.Add(base, 1)
-	c.Add(sibling, 2) // evicts base (capacity 1 in the shard)
-	if _, ok := c.Get(base); ok {
-		t.Error("oldest entry survived past capacity")
-	}
-	if v, ok := c.Get(sibling); !ok || v.(int) != 2 {
-		t.Error("newest entry was evicted instead of the oldest")
+	for _, capacity := range []int{3, fullCapacity} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			c := New(capacity)
+			base := "a"
+			per := c.shardFor(base).cap
+			// Collect per keys landing in base's shard.
+			var siblings []string
+			for i := 0; len(siblings) < per; i++ {
+				if k := fmt.Sprintf("b%d", i); c.shardFor(k) == c.shardFor(base) {
+					siblings = append(siblings, k)
+				}
+			}
+			c.Add(base, 0)
+			for i, k := range siblings[:per-1] {
+				c.Add(k, i+1) // fills the shard to its cap
+			}
+			c.Get(base)                 // base becomes most recent
+			c.Add(siblings[per-1], per) // evicts siblings[0]
+			if _, ok := c.Get(siblings[0]); ok {
+				t.Error("least recently used entry survived past capacity")
+			}
+			if _, ok := c.Get(base); !ok {
+				t.Error("recently used entry was evicted")
+			}
+			if v, ok := c.Get(siblings[per-1]); !ok || v.(int) != per {
+				t.Error("newest entry was evicted")
+			}
+			if ev := c.Stats().Evictions; ev != 1 {
+				t.Errorf("evictions = %d, want 1", ev)
+			}
+		})
 	}
 }
 
@@ -190,11 +229,16 @@ func TestConcurrentMixedUse(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	c := New(64)
-	c.Add("k", 1)
+	c := New(2)
+	c.Add("k", sized(10))
+	c.Add("j", sized(20))
+	c.Add("i", sized(30)) // evicts k
 	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("Len() after Reset = %d", c.Len())
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Errorf("Len(), Bytes() after Reset = %d, %d", c.Len(), c.Bytes())
+	}
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Errorf("evictions = %d after Reset, want 1: counters describe the process", ev)
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Error("entry survived Reset")
@@ -207,17 +251,19 @@ func TestBytesTracksByteSliceValues(t *testing.T) {
 		t.Fatalf("empty cache Bytes() = %d", c.Bytes())
 	}
 	c.Add("body", make([]byte, 100))
-	c.Add("table", struct{ x int }{1}) // non-byte values count as zero
-	if got := c.Bytes(); got != 100 {
-		t.Fatalf("Bytes() = %d, want 100", got)
+	c.Add("other", struct{ x int }{1}) // unsized values count as zero
+	c.Add("table", sized(200))         // sized values count SizeBytes
+	if got := c.Bytes(); got != 300 {
+		t.Fatalf("Bytes() = %d, want 300", got)
 	}
 	// Refresh replaces, not accumulates.
 	c.Add("body", make([]byte, 40))
-	if got := c.Bytes(); got != 40 {
-		t.Fatalf("refreshed Bytes() = %d, want 40", got)
+	c.Add("table", sized(70))
+	if got := c.Bytes(); got != 110 {
+		t.Fatalf("refreshed Bytes() = %d, want 110", got)
 	}
-	if st := c.Stats(); st.Bytes != 40 {
-		t.Fatalf("Stats().Bytes = %d, want 40", st.Bytes)
+	if st := c.Stats(); st.Bytes != 110 {
+		t.Fatalf("Stats().Bytes = %d, want 110", st.Bytes)
 	}
 	c.Reset()
 	if c.Bytes() != 0 {
@@ -226,8 +272,8 @@ func TestBytesTracksByteSliceValues(t *testing.T) {
 }
 
 func TestBytesReleasedOnEviction(t *testing.T) {
-	// Capacity 16 → one entry per shard; stuffing many bodies must keep
-	// the accounted bytes equal to the surviving entries' sizes.
+	// Stuffing 100 bodies into 16 entries evicts most of them; the
+	// accounted bytes must equal the surviving entries' sizes.
 	c := New(16)
 	for i := 0; i < 100; i++ {
 		c.Add(fmt.Sprintf("key-%d", i), make([]byte, 10))

@@ -35,7 +35,7 @@ func TestBytesExactAfterSweep(t *testing.T) {
 	// And the figure must be the straightforward sum of survivors.
 	var sum int64
 	for _, e := range c.Hottest(0) {
-		sum += int64(e.Val.SizeBytes())
+		sum += int64(e.Val.(fakeArtifact).SizeBytes())
 	}
 	if got := c.Bytes(); got != sum {
 		t.Fatalf("Bytes() = %d, survivors sum to %d", got, sum)

@@ -1,78 +1,18 @@
-// Package tablecache caches compiled kernel tables — artifacts that are
-// expensive to build (a model walk per node type) but answer every
-// request against the same cluster — behind an LRU with singleflight.
-// It differs from the serving layer's result cache (internal/servercache)
-// in what a key means: result-cache keys canonicalize the *full* request,
-// so two requests over the same cluster with different deadlines or work
-// sizes occupy distinct entries and each pays the table build inside its
-// compute closure; tablecache keys canonicalize only the cluster spec —
-// per-request parameters (work size, deadline, prune flag) are
-// deliberately excluded — so the compiled artifact is shared across every
-// request shape the cluster can take.
+// Package tablecache sizes the cache of compiled kernel tables:
+// artifacts that are expensive to build (a model walk per node type)
+// but answer every request against the same cluster. Its keys
+// canonicalize only the cluster spec — never work size, deadline or
+// prune flag — so every request shape against the same cluster shares
+// one compiled artifact.
 //
-// The cache holds few, large values, so it is a single-lock LRU (no
-// sharding: a build takes milliseconds, a lock hold nanoseconds) with
-// per-entry byte accounting via the Artifact contract. Errors are never
-// cached: a failed build leaves the cache untouched and the next caller
-// retries.
+// The cache itself is a servercache.Cache, the same LRU, singleflight
+// and byte accounting as the result cache. Tables report their resident
+// size through SizeBytes. The capacities used here stay below the size
+// at which servercache starts sharding, so the table cache is one exact
+// LRU: Hottest order and byte-limited trims are exact.
 package tablecache
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-)
-
-// Artifact is a compiled table the cache can hold: anything that can
-// report its resident size for byte accounting. Artifacts must be
-// immutable (they are shared across goroutines without copying).
-type Artifact interface {
-	SizeBytes() int
-}
-
-// Stats is a point-in-time view of the cache's effectiveness.
-type Stats struct {
-	// Hits and Misses count lookup outcomes (Do's fast path counts too).
-	Hits, Misses uint64
-	// Evictions counts LRU entries dropped to capacity pressure.
-	Evictions uint64
-	// Collapsed counts Do callers that waited on another caller's build
-	// instead of running their own.
-	Collapsed uint64
-	// Entries is the current number of cached artifacts.
-	Entries int
-	// Bytes is the summed SizeBytes of cached artifacts.
-	Bytes int64
-}
-
-// call is one in-flight singleflight build.
-type call struct {
-	wg  sync.WaitGroup
-	val Artifact
-	err error
-}
-
-// Cache is an LRU of compiled artifacts with singleflight builds. The
-// zero value is not usable; construct with New.
-type Cache struct {
-	mu       sync.Mutex
-	cap      int
-	maxBytes int64      // 0 = unlimited
-	ll       *list.List // front = most recently used
-	m        map[string]*list.Element
-	bytes    int64
-
-	flightMu sync.Mutex
-	flight   map[string]*call
-
-	hits, misses, evictions, collapsed atomic.Uint64
-}
-
-// lruEntry is a recency-list payload.
-type lruEntry struct {
-	key string
-	val Artifact
-}
+import "heteromix/internal/servercache"
 
 // DefaultCapacity bounds the cache when the caller passes a
 // non-positive capacity: generous for the handful of distinct clusters
@@ -80,215 +20,11 @@ type lruEntry struct {
 // within tens of megabytes.
 const DefaultCapacity = 64
 
-// New returns a cache holding at most capacity artifacts (capacity <= 0
-// selects DefaultCapacity).
-func New(capacity int) *Cache {
+// New returns an empty table cache holding at most capacity tables
+// (capacity <= 0 selects DefaultCapacity).
+func New(capacity int) *servercache.Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{
-		cap:    capacity,
-		ll:     list.New(),
-		m:      make(map[string]*list.Element),
-		flight: make(map[string]*call),
-	}
-}
-
-// Get returns the cached artifact for key, marking it most recently
-// used.
-func (c *Cache) Get(key string) (Artifact, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry).val, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Add stores key → val, evicting the least recently used artifact if
-// the cache is full. Re-adding an existing key refreshes its value and
-// recency.
-func (c *Cache) Add(key string, val Artifact) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		e := el.Value.(*lruEntry)
-		c.bytes += int64(val.SizeBytes()) - int64(e.val.SizeBytes())
-		e.val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	c.bytes += int64(val.SizeBytes())
-	c.evictLocked()
-}
-
-// evictLocked drops least-recently-used artifacts until both the entry
-// cap and the byte limit hold. A single artifact larger than the byte
-// limit stays resident alone — evicting it would just force the next
-// request to rebuild it, which is the exact cost the cache exists to
-// amortize.
-func (c *Cache) evictLocked() {
-	for c.ll.Len() > 1 && (c.ll.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		e := oldest.Value.(*lruEntry)
-		delete(c.m, e.key)
-		c.bytes -= int64(e.val.SizeBytes())
-		c.evictions.Add(1)
-	}
-}
-
-// SetMaxBytes bounds the summed SizeBytes of cached artifacts (0 or
-// negative removes the bound). Lowering the limit evicts immediately,
-// coldest first.
-func (c *Cache) SetMaxBytes(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	c.maxBytes = n
-	c.evictLocked()
-}
-
-// MaxBytes returns the byte limit (0 = unlimited).
-func (c *Cache) MaxBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxBytes
-}
-
-// Capacity returns the entry cap.
-func (c *Cache) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
-}
-
-// Entry is one cached (key, artifact) pair as exported by Hottest.
-type Entry struct {
-	Key string
-	Val Artifact
-}
-
-// Hottest returns up to limit entries in recency order, most recently
-// used first (limit <= 0 returns everything). It does not touch recency
-// or the hit/miss counters: snapshotting the cache must not reorder it.
-func (c *Cache) Hottest(limit int) []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.ll.Len()
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]Entry, 0, n)
-	for el := c.ll.Front(); el != nil && len(out) < n; el = el.Next() {
-		e := el.Value.(*lruEntry)
-		out = append(out, Entry{Key: e.key, Val: e.val})
-	}
-	return out
-}
-
-// Do returns the cached artifact for key, building it with build on a
-// miss. Concurrent Do calls for the same key collapse: one caller runs
-// build, the rest block and share its result. Successful builds are
-// cached; errors are returned to every collapsed caller and nothing is
-// stored, so the next Do retries. cached reports whether the artifact
-// came from the cache without running or waiting on build.
-func (c *Cache) Do(key string, build func() (Artifact, error)) (val Artifact, cached bool, err error) {
-	if v, ok := c.Get(key); ok {
-		return v, true, nil
-	}
-	c.flightMu.Lock()
-	if cl, ok := c.flight[key]; ok {
-		c.flightMu.Unlock()
-		c.collapsed.Add(1)
-		cl.wg.Wait()
-		return cl.val, false, cl.err
-	}
-	cl := &call{}
-	cl.wg.Add(1)
-	c.flight[key] = cl
-	c.flightMu.Unlock()
-
-	// Re-check under flight ownership: another caller may have completed
-	// and cached between our Get miss and claiming the flight slot.
-	if v, ok := c.Get(key); ok {
-		cl.val = v
-	} else {
-		cl.val, cl.err = build()
-		if cl.err == nil {
-			c.Add(key, cl.val)
-		}
-	}
-
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	cl.wg.Done()
-	return cl.val, false, cl.err
-}
-
-// Len returns the current number of cached artifacts.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes returns the summed SizeBytes of cached artifacts.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// DeleteFunc removes every artifact whose key satisfies pred and
-// returns the number removed. A concurrent Do racing the sweep may
-// re-add a matching key afterwards — callers invalidating by key
-// component must also stop producing the doomed keys (the server does:
-// table keys carry a profile version no new request resolves to).
-func (c *Cache) DeleteFunc(pred func(key string) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for key, el := range c.m {
-		if !pred(key) {
-			continue
-		}
-		c.ll.Remove(el)
-		delete(c.m, key)
-		c.bytes -= int64(el.Value.(*lruEntry).val.SizeBytes())
-		n++
-	}
-	return n
-}
-
-// Reset empties the cache (statistics are kept; they describe the
-// process, not the current contents).
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.m = make(map[string]*list.Element)
-	c.bytes = 0
-}
-
-// Stats returns the cache's counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	entries, bytes := c.ll.Len(), c.bytes
-	c.mu.Unlock()
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Collapsed: c.collapsed.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
-	}
+	return servercache.New(capacity)
 }

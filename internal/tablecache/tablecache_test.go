@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fakeArtifact is a test artifact with a fixed reported size.
@@ -57,7 +58,7 @@ func TestGetAddLRUAndBytes(t *testing.T) {
 func TestDoBuildsOnceAndCaches(t *testing.T) {
 	c := New(0)
 	var builds atomic.Int64
-	build := func() (Artifact, error) {
+	build := func() (any, error) {
 		builds.Add(1)
 		return fakeArtifact{1, 10}, nil
 	}
@@ -79,7 +80,7 @@ func TestDoNeverCachesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var builds atomic.Int64
 	for i := 0; i < 3; i++ {
-		_, cached, err := c.Do("k", func() (Artifact, error) {
+		_, cached, err := c.Do("k", func() (any, error) {
 			builds.Add(1)
 			return nil, boom
 		})
@@ -94,7 +95,7 @@ func TestDoNeverCachesErrors(t *testing.T) {
 		t.Fatalf("error should leave the cache empty, len=%d bytes=%d", c.Len(), c.Bytes())
 	}
 	// A later success lands normally.
-	v, _, err := c.Do("k", func() (Artifact, error) { return fakeArtifact{9, 5}, nil })
+	v, _, err := c.Do("k", func() (any, error) { return fakeArtifact{9, 5}, nil })
 	if err != nil || v.(fakeArtifact).id != 9 {
 		t.Fatalf("recovery Do = (%v, %v)", v, err)
 	}
@@ -106,12 +107,12 @@ func TestDoSingleflightCollapses(t *testing.T) {
 	release := make(chan struct{})
 	var builds atomic.Int64
 	var wg sync.WaitGroup
-	results := make([]Artifact, callers)
+	results := make([]any, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do("k", func() (Artifact, error) {
+			v, _, err := c.Do("k", func() (any, error) {
 				builds.Add(1)
 				<-release
 				return fakeArtifact{7, 10}, nil
@@ -122,8 +123,12 @@ func TestDoSingleflightCollapses(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the one builder holds the flight, then release it.
-	for builds.Load() == 0 {
+	// Wait until the one builder holds the flight and every other caller
+	// has joined it, then release it. A caller that reached Do only after
+	// the release would hit the cache instead of collapsing. The wait is
+	// bounded so a broken counter fails below rather than hanging.
+	deadline := time.Now().Add(5 * time.Second)
+	for (builds.Load() == 0 || c.Stats().Collapsed < callers-1) && time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
 	close(release)
@@ -136,8 +141,8 @@ func TestDoSingleflightCollapses(t *testing.T) {
 			t.Fatalf("caller %d got %v", i, v)
 		}
 	}
-	if c.Stats().Collapsed == 0 {
-		t.Fatal("collapsed counter should have advanced")
+	if got := c.Stats().Collapsed; got != callers-1 {
+		t.Fatalf("collapsed counter = %d, want %d", got, callers-1)
 	}
 }
 
