@@ -248,28 +248,11 @@ func (s Space) Evaluate(cfg Configuration, w float64) (Point, error) {
 // evaluating each configuration with Evaluate — bit-identical times and
 // splits, energies within a few ULPs.
 func (s Space) Enumerate(maxARM, maxAMD int, w float64) ([]Point, error) {
-	kt, err := s.enumKernels(maxARM, maxAMD, w)
+	v, err := s.enumView(maxARM, maxAMD, w, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Point, 0, kt.size(maxARM, maxAMD))
-	kt.forEachPoint(maxARM, maxAMD, w, func(p Point) bool {
-		out = append(out, p)
-		return true
-	})
-	return out, nil
-}
-
-// enumKernels validates the space bounds and work volume, then builds the
-// kernel table — the shared preamble of every enumerator.
-func (s Space) enumKernels(maxARM, maxAMD int, w float64) (spaceKernels, error) {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return spaceKernels{}, fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
-	}
-	if err := validWork(w); err != nil {
-		return spaceKernels{}, err
-	}
-	return s.kernels(maxARM, maxAMD, nil, nil)
+	return v.collect(w), nil
 }
 
 // SpaceSize returns the number of configurations Enumerate produces,
@@ -302,10 +285,7 @@ func (s Space) EnumerateFiltered(maxARM, maxAMD int, w float64, keepARM, keepAMD
 // false stops the walk early. The per-node keep predicates are applied
 // once to the configuration lists, not once per point.
 func (s Space) EnumerateFilteredFunc(maxARM, maxAMD int, w float64, keepARM, keepAMD func(hwsim.Config) bool, yield func(Point) bool) error {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
-	}
-	if err := validWork(w); err != nil {
+	if err := checkBounds(maxARM, maxAMD, w); err != nil {
 		return err
 	}
 	filter := func(cfgs []hwsim.Config, keep func(hwsim.Config) bool) []hwsim.Config {
@@ -327,14 +307,14 @@ func (s Space) EnumerateFilteredFunc(maxARM, maxAMD int, w float64, keepARM, kee
 	if maxAMD > 0 {
 		cfgAMD = filter(hwsim.Configs(s.AMD.Spec), keepAMD)
 	}
-	kt, err := s.kernels(maxARM, maxAMD, cfgARM, cfgAMD)
+	v, err := s.enumView(maxARM, maxAMD, w, cfgARM, cfgAMD)
 	if err != nil {
 		return err
 	}
-	if kt.size(maxARM, maxAMD) == 0 {
+	if v.size == 0 {
 		return fmt.Errorf("cluster: filter removed every configuration")
 	}
-	kt.forEachPoint(maxARM, maxAMD, w, yield)
+	v.walk(w, yield)
 	return nil
 }
 
@@ -347,23 +327,23 @@ func (s Space) EnumerateMix(nARM, nAMD int, w float64) ([]Point, error) {
 	if err := validWork(w); err != nil {
 		return nil, err
 	}
-	kt, err := s.kernels(nARM, nAMD, nil, nil)
+	t, err := s.table(nARM, nAMD, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	armK := []kernelEntry{{}}
-	if nARM > 0 {
-		armK = kt.arm
-	}
-	amdK := []kernelEntry{{}}
-	if nAMD > 0 {
-		amdK = kt.amd
-	}
-	out := make([]Point, 0, len(armK)*len(amdK))
-	for _, a := range armK {
-		for _, d := range amdK {
-			out = append(out, kt.point(nARM, nAMD, a, d, w))
+	// The mix is one box of the view: each side's count-n options, or
+	// its absent option alone when n is 0.
+	var b box
+	for i, side := range [2]struct{ n, per int }{{nARM, len(t.arm)}, {nAMD, len(t.amd)}} {
+		b.hi[i] = 1
+		if side.n > 0 {
+			b.lo[i], b.hi[i] = 1+(side.n-1)*side.per, 1+side.n*side.per
 		}
 	}
+	out := make([]Point, 0, (b.hi[0]-b.lo[0])*(b.hi[1]-b.lo[1]))
+	t.view(nARM, nAMD).sweep(b, w, func(p Point) bool {
+		out = append(out, p)
+		return true
+	})
 	return out, nil
 }

@@ -46,9 +46,9 @@ type TableDump struct {
 // Dump exports the table's compiled coefficients.
 func (t *Table) Dump() TableDump {
 	return TableDump{
-		ARM:         dumpKernelEntries(t.kt.arm),
-		AMD:         dumpKernelEntries(t.kt.amd),
-		SwitchWBits: math.Float64bits(t.kt.switchW),
+		ARM:         dumpKernelEntries(t.arm),
+		AMD:         dumpKernelEntries(t.amd),
+		SwitchWBits: math.Float64bits(t.switchW),
 	}
 }
 
@@ -126,18 +126,8 @@ func (s Space) NewTableFromDump(d TableDump) (*Table, error) {
 	if math.IsNaN(switchW) || math.IsInf(switchW, 0) || switchW < 0 {
 		return nil, fmt.Errorf("cluster: dump switch wattage %v must be non-negative and finite", switchW)
 	}
-	t := &Table{
-		space: s,
-		kt:    spaceKernels{arm: arm, amd: amd, switchW: switchW},
-		arm:   make(map[hwsim.Config]int, len(arm)),
-		amd:   make(map[hwsim.Config]int, len(amd)),
-	}
-	for i, e := range arm {
-		t.arm[e.cfg] = i
-	}
-	for i, e := range amd {
-		t.amd[e.cfg] = i
-	}
+	t := &Table{space: s, arm: arm, amd: amd, switchW: switchW}
+	t.indexConfigs()
 	return t, nil
 }
 
@@ -204,8 +194,6 @@ func NewGenericTableFromDump(d GenericTableDump) (*GenericTable, error) {
 	t := &genericTable{
 		opts:    make([][]genOption, len(d.Types)),
 		switchW: make([]float64, len(d.Types)),
-		radix:   make([]uint64, len(d.Types)),
-		stride:  make([]uint64, len(d.Types)),
 	}
 	for i, td := range d.Types {
 		if len(td.Options) == 0 || td.Options[0].Count != 0 {
@@ -243,16 +231,7 @@ func NewGenericTableFromDump(d GenericTableDump) (*GenericTable, error) {
 		}
 		t.opts[i] = opts
 		t.switchW[i] = sw
-		t.radix[i] = uint64(len(opts))
 	}
-	prod := uint64(1)
-	for i := len(d.Types) - 1; i >= 0; i-- {
-		t.stride[i] = prod
-		prod = satMul(prod, t.radix[i])
-	}
-	t.size = prod
-	if t.size != math.MaxUint64 {
-		t.size-- // the all-absent vector is never yielded
-	}
+	t.shape(make([]int, len(d.Types)), make([]uint64, len(d.Types)))
 	return &GenericTable{t: t, types: len(d.Types)}, nil
 }

@@ -8,25 +8,23 @@ import (
 	"heteromix/internal/units"
 )
 
-// This file is the evaluation-kernel layer under the generic N-type
-// enumerators, the analogue of spaceKernels for any number of node
-// types. A genericTable is built once per cluster spec (type list):
-// every (count, per-node configuration) option of every type gets its
-// model.Kernel coefficients precomputed, so evaluating one point of the
-// cartesian space is pure float arithmetic over scratch buffers — no
-// validation, no model walks, and no allocation. All error paths
-// (model validation, bad bounds) are taken during table construction;
-// the work volume enters only the per-point arithmetic, so one table
-// serves every work size (validated per call) and per-point evaluation
-// is infallible.
+// This file is the evaluation-kernel layer under every enumerator, the
+// N-type one and the paper's two-type one alike. A genericTable is built
+// once per cluster spec (type list): every (count, per-node
+// configuration) option of every type gets its model.Kernel
+// coefficients precomputed, so evaluating one point of the cartesian
+// space is pure float arithmetic over scratch buffers — no validation,
+// no model walks, and no allocation. All error paths (model validation,
+// bad bounds) are taken during table construction; the work volume
+// enters only the per-point arithmetic, so one table serves every work
+// size (validated per call) and per-point evaluation is infallible.
 //
-// The point arithmetic is expression-for-expression the same as the
-// two-type spaceKernels.point (throughputs accumulate in type order,
-// work[i] = w·thr[i]/total, energies accumulate in type order), so a
-// two-type generic space yields the same points as Space.Enumerate, bit
-// for bit. TestGenericTwoTypeMatchesSpace pins this: the two
-// enumerations' (time, energy) multisets must match exactly, on a 2x2
-// space and on the paper's 10x10 space (36,380 points).
+// eval is the one arithmetic that turns coefficients into (T, E, split);
+// cluster.Evaluate is the independent reference tests compare it with.
+// first/next are the one odometer, over any box of per-type [lo, hi)
+// option bounds: the N-type walk is the full box minus the all-absent
+// vector, and the two-type Space and Table (kernel.go) walk an N=2 view
+// as the paper's three boxes.
 
 // genOption is one (count, per-node configuration) choice of a type;
 // count 0 is the absent option and carries no kernel.
@@ -43,7 +41,7 @@ type genOption struct {
 type genericTable struct {
 	opts    [][]genOption // per type: absent first, then count-major options
 	switchW []float64     // per type: per-switch watts (0 unless NeedsSwitch)
-	radix   []uint64      // len(opts[i])
+	radix   []int         // len(opts[i])
 	stride  []uint64      // mixed-radix stride of type i (type 0 slowest)
 	size    uint64        // points in the space (product of radixes - 1), saturated
 }
@@ -77,6 +75,32 @@ func typeConfigs(gt GroupType) []hwsim.Config {
 	return hwsim.Configs(gt.Model.Spec)
 }
 
+// typeOptions lists one type's options: absent, then count-major.
+func typeOptions(entries []kernelEntry, maxNodes int) []genOption {
+	opts := make([]genOption, 1, 1+max(maxNodes, 0)*len(entries))
+	for n := 1; n <= maxNodes; n++ {
+		for _, e := range entries {
+			opts = append(opts, e.option(n))
+		}
+	}
+	return opts
+}
+
+// shape fills radix, stride (one slot per type) and size from t.opts.
+func (t *genericTable) shape(radix []int, stride []uint64) {
+	t.radix, t.stride = radix, stride
+	prod := uint64(1)
+	for i := len(t.opts) - 1; i >= 0; i-- {
+		radix[i] = len(t.opts[i])
+		stride[i] = prod
+		prod = satMul(prod, uint64(radix[i]))
+	}
+	t.size = prod
+	if t.size != math.MaxUint64 {
+		t.size-- // the all-absent vector is never yielded
+	}
+}
+
 // newGenericTable validates types and precomputes every option's
 // kernel coefficients. Types with MaxNodes 0 are never evaluated, so
 // their models are not touched (matching Evaluate's treatment of
@@ -93,37 +117,21 @@ func newGenericTable(types []GroupType) (*genericTable, error) {
 	t := &genericTable{
 		opts:    make([][]genOption, len(types)),
 		switchW: make([]float64, len(types)),
-		radix:   make([]uint64, len(types)),
-		stride:  make([]uint64, len(types)),
 	}
 	for i, gt := range types {
-		opts := []genOption{{count: 0}}
+		var entries []kernelEntry
 		if gt.MaxNodes > 0 {
-			entries, err := typeKernels(gt.Model, typeConfigs(gt))
-			if err != nil {
+			var err error
+			if entries, err = typeKernels(gt.Model, typeConfigs(gt)); err != nil {
 				return nil, fmt.Errorf("cluster: type %d: %w", i, err)
 			}
-			for n := 1; n <= gt.MaxNodes; n++ {
-				for _, k := range entries {
-					opts = append(opts, genOption{count: n, cfg: k.cfg, k: k.k, epu: k.epu})
-				}
-			}
 		}
-		t.opts[i] = opts
-		t.radix[i] = uint64(len(opts))
+		t.opts[i] = typeOptions(entries, gt.MaxNodes)
 		if gt.NeedsSwitch {
 			t.switchW[i] = float64(SwitchPower)
 		}
 	}
-	prod := uint64(1)
-	for i := len(types) - 1; i >= 0; i-- {
-		t.stride[i] = prod
-		prod = satMul(prod, t.radix[i])
-	}
-	t.size = prod
-	if t.size != math.MaxUint64 {
-		t.size-- // the all-absent vector is never yielded
-	}
+	t.shape(make([]int, len(types)), make([]uint64, len(types)))
 	return t, nil
 }
 
@@ -140,19 +148,92 @@ func (t *genericTable) intSize() (int, error) {
 	return int(t.size), nil
 }
 
-// genCursor is one walker's scratch: an option-index vector and a point
-// whose slices are reused across evaluations.
+// eval predicts w work units on the picked options sel (one per type,
+// count 0 absent): the matching split of Eq. 1 (throughputs n/k summed
+// in type order, every group finishing at T = w / Σ thr), each type's
+// share into work, and the Eq. 4 energy sum in type order with each
+// type's switch draw over T. It fills counts and configs when given;
+// the two-type view passes nil and decodes its Point from sel. ok is
+// false only when every type is absent.
+func eval(sel []*genOption, switchW []float64, w float64, work []float64, counts []int, configs []hwsim.Config) (tt, energy float64, ok bool) {
+	work, switchW = work[:len(sel)], switchW[:len(sel)]
+	total := 0.0
+	for i, o := range sel {
+		if counts != nil {
+			counts[i] = o.count
+			configs[i] = o.cfg
+		}
+		thr := 0.0
+		if o.count > 0 {
+			thr = float64(o.count) / o.k
+			total += thr
+		}
+		work[i] = thr // throughput scratch until the split below
+	}
+	if total == 0 {
+		return 0, 0, false
+	}
+	tt = w / total
+	for i, o := range sel {
+		if o.count == 0 {
+			continue
+		}
+		wk := w * work[i] / total
+		work[i] = wk
+		e := o.epu * wk
+		if switchW[i] > 0 {
+			e += switchW[i] * float64(armSwitches(o.count)) * tt
+		}
+		energy += e
+	}
+	return tt, energy, true
+}
+
+// first sets the odometer to box [lo, hi)'s first vector (pick holds
+// option indices, sel the picked options); false for an empty box.
+func (t *genericTable) first(pick []int, sel []*genOption, lo, hi []int) bool {
+	for i := range pick {
+		if lo[i] >= hi[i] {
+			return false
+		}
+		pick[i] = lo[i]
+		sel[i] = &t.opts[i][lo[i]]
+	}
+	return true
+}
+
+// next advances to the box's next vector, the last type fastest; false
+// past its end.
+func (t *genericTable) next(pick []int, sel []*genOption, lo, hi []int) bool {
+	for i := len(pick) - 1; i >= 0; i-- {
+		if pick[i]++; pick[i] < hi[i] {
+			sel[i] = &t.opts[i][pick[i]]
+			return true
+		}
+		pick[i] = lo[i]
+		sel[i] = &t.opts[i][lo[i]]
+	}
+	return false
+}
+
+// genCursor is one N-type walker's scratch: the odometer state and a
+// point whose slices are reused across evaluations.
 type genCursor struct {
 	t    *genericTable
+	lo   []int // the full box's lower corner: all zeros
 	pick []int
+	sel  []*genOption
 	p    GenericPoint
 }
 
 func (t *genericTable) newCursor() *genCursor {
 	n := len(t.opts)
+	digits := make([]int, 2*n)
 	return &genCursor{
 		t:    t,
-		pick: make([]int, n),
+		lo:   digits[:n:n],
+		pick: digits[n:],
+		sel:  make([]*genOption, n),
 		p: GenericPoint{
 			Counts:  make([]int, n),
 			Configs: make([]hwsim.Config, n),
@@ -161,45 +242,11 @@ func (t *genericTable) newCursor() *genCursor {
 	}
 }
 
-// eval fills p from the option picks for w work units: the matching
-// split (throughputs accumulate in type order, every group finishes at
-// w / Σ thr), then the summed group energies including switch draw over
-// the duration. It reports false only for the all-absent vector. p.Work
-// doubles as the throughput scratch, so eval needs no allocation.
-func (t *genericTable) eval(pick []int, w float64, p *GenericPoint) bool {
-	total := 0.0
-	for i, oi := range pick {
-		opt := &t.opts[i][oi]
-		p.Counts[i] = opt.count
-		p.Configs[i] = opt.cfg
-		thr := 0.0
-		if opt.count > 0 {
-			thr = float64(opt.count) / opt.k
-			total += thr
-		}
-		p.Work[i] = thr
-	}
-	if total == 0 {
-		return false
-	}
-	tt := w / total
-	energy := 0.0
-	for i, oi := range pick {
-		if p.Counts[i] == 0 {
-			continue
-		}
-		opt := &t.opts[i][oi]
-		wk := w * p.Work[i] / total
-		p.Work[i] = wk
-		e := opt.epu * wk
-		if t.switchW[i] > 0 {
-			e += t.switchW[i] * float64(armSwitches(p.Counts[i])) * tt
-		}
-		energy += e
-	}
-	p.Time = units.Seconds(tt)
-	p.Energy = units.Joule(energy)
-	return true
+// load evaluates the picked options into c.p; false for all-absent.
+func (c *genCursor) load(w float64) bool {
+	tt, e, ok := eval(c.sel, c.t.switchW, w, c.p.Work, c.p.Counts, c.p.Configs)
+	c.p.Time, c.p.Energy = units.Seconds(tt), units.Joule(e)
+	return ok
 }
 
 // forEach streams every point of the space to yield in enumeration
@@ -208,43 +255,22 @@ func (t *genericTable) eval(pick []int, w float64, p *GenericPoint) bool {
 // valid only during the call, Clone to retain. Reports whether the
 // walk ran to completion.
 func (t *genericTable) forEach(c *genCursor, w float64, yield func(GenericPoint) bool) bool {
-	pick := c.pick
-	for i := range pick {
-		pick[i] = 0
-	}
-	for {
-		// Mixed-radix odometer, last digit fastest; starting from the
-		// all-zero (all-absent) vector means the first increment lands on
-		// the first real point.
-		i := len(pick) - 1
-		for i >= 0 {
-			pick[i]++
-			if uint64(pick[i]) < t.radix[i] {
-				break
-			}
-			pick[i] = 0
-			i--
-		}
-		if i < 0 {
-			return true
-		}
-		if !t.eval(pick, w, &c.p) {
-			continue
-		}
-		if !yield(c.p) {
+	for ok := t.first(c.pick, c.sel, c.lo, t.radix); ok; ok = t.next(c.pick, c.sel, c.lo, t.radix) {
+		if c.load(w) && !yield(c.p) {
 			return false
 		}
 	}
+	return true
 }
 
 // at evaluates the point at linear index idx of forEach's order into
 // c's scratch (idx 1..size; index 0 is the all-absent vector) — the
 // random-access view the dynamic parallel scheduler uses.
 func (t *genericTable) at(c *genCursor, idx uint64, w float64) bool {
-	for i := range c.pick {
-		c.pick[i] = int(idx / t.stride[i] % t.radix[i])
+	for i := range c.sel {
+		c.sel[i] = &t.opts[i][idx/t.stride[i]%uint64(t.radix[i])]
 	}
-	return t.eval(c.pick, w, &c.p)
+	return c.load(w)
 }
 
 // genBacking carves materialized points' slices out of three flat

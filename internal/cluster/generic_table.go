@@ -137,24 +137,9 @@ func (g *GenericTable) EnumerateParallel(w float64, workers int) ([]GenericPoint
 // frontier and returns only its optimal points, exactly as
 // GenericFrontierOf does but off the precompiled table.
 func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) {
-	if err := g.check(w); err != nil {
-		return nil, nil, err
-	}
-	tr := pareto.Tracked[GenericPoint]{Clone: GenericPoint.Clone}
-	var insErr error
-	g.t.forEach(g.t.newCursor(), w, func(p GenericPoint) bool {
-		_, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p)
-		if err != nil {
-			insErr = err
-			return false
-		}
-		return true
-	})
-	if insErr != nil {
-		return nil, nil, insErr
-	}
-	pts, tes := tr.Frontier()
-	return pts, tes, nil
+	f := frontier[GenericPoint]{tr: pareto.Tracked[GenericPoint]{Clone: GenericPoint.Clone}}
+	err := g.ForEach(w, func(p GenericPoint) bool { return f.ok(f.tr.Insert(p.te(), p)) })
+	return f.result(err)
 }
 
 // FrontierParallel is Frontier fanned out over a worker pool: each
@@ -176,17 +161,17 @@ func (g *GenericTable) FrontierParallel(w float64, workers int) ([]GenericPoint,
 		workers = runtime.GOMAXPROCS(0)
 	}
 	numChunks := (n + genericFrontierChunk - 1) / genericFrontierChunk
-	locals := make([]pareto.Tracked[GenericPoint], numChunks)
+	locals := make([]frontier[GenericPoint], numChunks)
 	err = parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) error {
 		// parallelFor claims start at chunk multiples, so lo identifies
 		// the chunk's slot in the ordered merge below.
-		tr := &locals[lo/genericFrontierChunk]
-		tr.Clone = GenericPoint.Clone
+		f := &locals[lo/genericFrontierChunk]
+		f.tr.Clone = GenericPoint.Clone
 		c := g.t.newCursor()
 		for i := lo; i < hi; i++ {
 			g.t.at(c, uint64(i)+1, w)
-			if _, err := tr.Insert(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}, c.p); err != nil {
-				return err
+			if !f.ok(f.tr.Insert(c.p.te(), c.p)) {
+				return f.err
 			}
 		}
 		return nil
@@ -196,15 +181,12 @@ func (g *GenericTable) FrontierParallel(w float64, workers int) ([]GenericPoint,
 	}
 	// Merge chunk frontiers in enumeration order; chunk payloads are
 	// already cloned, so the merged frontier can alias them.
-	var merged pareto.Tracked[GenericPoint]
+	var merged frontier[GenericPoint]
 	for ci := range locals {
-		pts, tes := locals[ci].Frontier()
+		pts, tes := locals[ci].tr.Frontier()
 		for j := range tes {
-			if _, err := merged.Insert(pareto.TE{Time: tes[j].Time, Energy: tes[j].Energy}, pts[j]); err != nil {
-				return nil, nil, err
-			}
+			merged.ok(merged.tr.Insert(pareto.TE{Time: tes[j].Time, Energy: tes[j].Energy}, pts[j]))
 		}
 	}
-	pts, tes := merged.Frontier()
-	return pts, tes, nil
+	return merged.result(nil)
 }

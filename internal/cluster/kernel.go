@@ -9,15 +9,15 @@ import (
 	"heteromix/internal/units"
 )
 
-// This file is the evaluation-kernel layer under every enumerator. A
-// spaceKernels table is built once per Enumerate* call from model.Kernel
-// coefficients — one entry per distinct per-node (cores, frequency)
-// setting, dozens of entries against tens of thousands of points — and
-// evaluating a configuration then reduces to a handful of float
-// multiplies with no validation, no map lookups and no allocations.
-// Every error path (model validation, config validation, degenerate
-// predictions, bad work volumes) is taken during table construction, so
-// the per-point evaluation is infallible.
+// This file is the two-type layer: the paper's ARM+AMD Space and Table
+// walk an N=2 view of the evaluation kernel (generic_kernel.go), type 0
+// ARM and type 1 AMD, built per walk from the Table's kernel entries.
+// Only the order is the paper's own: every heterogeneous mix (ARM
+// count, ARM config, AMD count, AMD config, nested), then ARM-only, then
+// AMD-only — the view's boxes [1,R0)×[1,R1), [1,R0)×{0} and {0}×[1,R1),
+// R_i counting type i's options with the absent one. The order is a
+// wire contract: a limited /v1/enumerate answer is a prefix of it, and
+// shard frontiers break ties by it.
 //
 // Numerical contract: Point.Time, Point.WorkARM and the work split are
 // bit-identical to the direct Space.Evaluate path (the throughput and
@@ -31,6 +31,11 @@ type kernelEntry struct {
 	cfg hwsim.Config
 	k   float64 // seconds per work unit on one node
 	epu float64 // joules per work unit on one node
+}
+
+// option is the entry's choice with n nodes.
+func (e kernelEntry) option(n int) genOption {
+	return genOption{count: n, cfg: e.cfg, k: e.k, epu: e.epu}
 }
 
 // typeKernels validates nm once and precomputes entries for the given
@@ -50,44 +55,6 @@ func typeKernels(nm model.NodeModel, cfgs []hwsim.Config) ([]kernelEntry, error)
 	return out, nil
 }
 
-// spaceKernels is the precomputed evaluation table of a two-type Space.
-type spaceKernels struct {
-	arm, amd []kernelEntry
-	// switchW is the per-switch wattage charged to job energy on the ARM
-	// side (zero under NoSwitchEnergy).
-	switchW float64
-}
-
-// kernels builds the table for the given node bounds, validating each
-// model only if its side of the space is populated (a zero bound never
-// touches that model, matching the direct path's behaviour for groups
-// with zero nodes). cfgARM/cfgAMD restrict the per-node settings; nil
-// selects every configuration of the spec.
-func (s Space) kernels(maxARM, maxAMD int, cfgARM, cfgAMD []hwsim.Config) (spaceKernels, error) {
-	t := spaceKernels{}
-	if !s.NoSwitchEnergy {
-		t.switchW = float64(SwitchPower)
-	}
-	var err error
-	if maxARM > 0 {
-		if cfgARM == nil {
-			cfgARM = hwsim.Configs(s.ARM.Spec)
-		}
-		if t.arm, err = typeKernels(s.ARM, cfgARM); err != nil {
-			return spaceKernels{}, fmt.Errorf("cluster: ARM kernels: %w", err)
-		}
-	}
-	if maxAMD > 0 {
-		if cfgAMD == nil {
-			cfgAMD = hwsim.Configs(s.AMD.Spec)
-		}
-		if t.amd, err = typeKernels(s.AMD, cfgAMD); err != nil {
-			return spaceKernels{}, fmt.Errorf("cluster: AMD kernels: %w", err)
-		}
-	}
-	return t, nil
-}
-
 // validWork mirrors Evaluate's work-volume check.
 func validWork(w float64) error {
 	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
@@ -101,106 +68,162 @@ func armSwitches(nodes int) int {
 	return (nodes + ARMPortsPerSwitch - 1) / ARMPortsPerSwitch
 }
 
-// point evaluates one configuration from precomputed coefficients: the
-// matching split (W_g ∝ n_g/k_g), the shared finish time and the summed
-// group energies including switch draw over the job duration. na or nd
-// may be zero for the homogeneous families; the corresponding entry is
-// ignored.
-func (t spaceKernels) point(na, nd int, a, d kernelEntry, w float64) Point {
-	var thrA, thrD float64
-	if na > 0 {
-		thrA = float64(na) / a.k
+// checkBounds validates a bounded two-type walk's parameters.
+func checkBounds(maxARM, maxAMD int, w float64) error {
+	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
+		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
 	}
-	if nd > 0 {
-		thrD = float64(nd) / d.k
-	}
-	total := thrA + thrD
-	tt := w / total
+	return validWork(w)
+}
 
-	var wA, wD, eA, eD float64
-	var cfg Configuration
-	if na > 0 {
-		wA = w * thrA / total
-		eA = a.epu*wA + t.switchW*float64(armSwitches(na))*tt
-		cfg.ARM = TypeConfig{Nodes: na, Config: a.cfg}
+// table compiles the kernel entries a walk of the given bounds needs,
+// validating each model only if its side of the space is populated (a
+// zero bound never touches that model, matching the direct path's
+// behaviour for groups with zero nodes). cfgARM/cfgAMD restrict the
+// per-node settings; nil selects every configuration of the spec.
+func (s Space) table(maxARM, maxAMD int, cfgARM, cfgAMD []hwsim.Config) (Table, error) {
+	t := Table{space: s}
+	if !s.NoSwitchEnergy {
+		t.switchW = float64(SwitchPower)
 	}
-	if nd > 0 {
-		wD = w * thrD / total
-		eD = d.epu * wD
-		cfg.AMD = TypeConfig{Nodes: nd, Config: d.cfg}
+	var err error
+	if maxARM > 0 {
+		if cfgARM == nil {
+			cfgARM = hwsim.Configs(s.ARM.Spec)
+		}
+		if t.arm, err = typeKernels(s.ARM, cfgARM); err != nil {
+			return Table{}, fmt.Errorf("cluster: ARM kernels: %w", err)
+		}
 	}
-	workARM := 0.0
-	if tot := wA + wD; tot > 0 {
-		workARM = wA / tot
+	if maxAMD > 0 {
+		if cfgAMD == nil {
+			cfgAMD = hwsim.Configs(s.AMD.Spec)
+		}
+		if t.amd, err = typeKernels(s.AMD, cfgAMD); err != nil {
+			return Table{}, fmt.Errorf("cluster: AMD kernels: %w", err)
+		}
 	}
-	return Point{
-		Config:  cfg,
-		Time:    units.Seconds(tt),
-		Energy:  units.Joule(eA + eD),
-		WorkARM: workARM,
+	return t, nil
+}
+
+// enumView is the shared preamble of the Space enumerators.
+func (s Space) enumView(maxARM, maxAMD int, w float64, cfgARM, cfgAMD []hwsim.Config) (*pairView, error) {
+	if err := checkBounds(maxARM, maxAMD, w); err != nil {
+		return nil, err
+	}
+	t, err := s.table(maxARM, maxAMD, cfgARM, cfgAMD)
+	if err != nil {
+		return nil, err
+	}
+	return t.view(maxARM, maxAMD), nil
+}
+
+// pairView is the N=2 genericTable of a bounded two-type space plus the
+// arrays backing its per-type slices, so a view costs three
+// allocations: itself and its two option arrays.
+type pairView struct {
+	genericTable
+	arr struct {
+		opts    [2][]genOption
+		switchW [2]float64
+		radix   [2]int
+		stride  [2]uint64
 	}
 }
 
-// forEachPoint streams the space in Enumerate's order — all heterogeneous
-// mixes (ARM count, ARM config, AMD count, AMD config, nested in that
-// order), then the ARM-only family, then the AMD-only family — without
-// materializing anything. It reports whether the walk ran to completion
-// (yield returning false stops it early).
-func (t spaceKernels) forEachPoint(maxARM, maxAMD int, w float64, yield func(Point) bool) bool {
-	for na := 1; na <= maxARM; na++ {
-		for _, a := range t.arm {
-			for nd := 1; nd <= maxAMD; nd++ {
-				for _, d := range t.amd {
-					if !yield(t.point(na, nd, a, d, w)) {
-						return false
-					}
-				}
-			}
+// view builds the view of the (maxARM, maxAMD) space.
+func (t *Table) view(maxARM, maxAMD int) *pairView {
+	v := &pairView{}
+	v.arr.opts = [2][]genOption{typeOptions(t.arm, maxARM), typeOptions(t.amd, maxAMD)}
+	v.arr.switchW = [2]float64{t.switchW, 0}
+	v.genericTable = genericTable{opts: v.arr.opts[:], switchW: v.arr.switchW[:]}
+	v.shape(v.arr.radix[:], v.arr.stride[:])
+	return v
+}
+
+// box is the option-index pairs with lo[i] <= pick[i] < hi[i].
+type box struct{ lo, hi [2]int }
+
+// paperBoxes is the paper's order.
+func (v *pairView) paperBoxes() [3]box {
+	r0, r1 := v.radix[0], v.radix[1]
+	return [3]box{
+		{lo: [2]int{1, 1}, hi: [2]int{r0, r1}},
+		{lo: [2]int{1, 0}, hi: [2]int{r0, 1}},
+		{lo: [2]int{0, 1}, hi: [2]int{1, r1}},
+	}
+}
+
+// walk streams the space to yield in the paper's order; yield returning
+// false stops it.
+func (v *pairView) walk(w float64, yield func(Point) bool) {
+	for _, b := range v.paperBoxes() {
+		if !v.sweep(b, w, yield) {
+			return
 		}
 	}
-	var none kernelEntry
-	for na := 1; na <= maxARM; na++ {
-		for _, a := range t.arm {
-			if !yield(t.point(na, 0, a, none, w)) {
-				return false
-			}
-		}
-	}
-	for nd := 1; nd <= maxAMD; nd++ {
-		for _, d := range t.amd {
-			if !yield(t.point(0, nd, none, d, w)) {
-				return false
-			}
+}
+
+// sweep streams one box's points, the AMD digit fastest; false if yield
+// stopped it.
+func (v *pairView) sweep(b box, w float64, yield func(Point) bool) bool {
+	var pick [2]int
+	var sel [2]*genOption
+	var work [2]float64
+	for ok := v.first(pick[:], sel[:], b.lo[:], b.hi[:]); ok; ok = v.next(pick[:], sel[:], b.lo[:], b.hi[:]) {
+		tt, e, _ := eval(sel[:], v.switchW, w, work[:], nil, nil)
+		if !yield(pairPoint(&sel, &work, tt, e)) {
+			return false
 		}
 	}
 	return true
 }
 
-// size returns how many points forEachPoint yields for the bounds.
-func (t spaceKernels) size(maxARM, maxAMD int) int {
-	a, d := len(t.arm), len(t.amd)
-	return maxARM*a*maxAMD*d + maxARM*a + maxAMD*d
+// collect materializes the walk.
+func (v *pairView) collect(w float64) []Point {
+	out := make([]Point, 0, v.size)
+	v.walk(w, func(p Point) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
 }
 
-// pointAt evaluates the configuration at linear index i of forEachPoint's
-// order, the random-access view the dynamic parallel scheduler uses.
-func (t spaceKernels) pointAt(i, maxARM, maxAMD int, w float64) Point {
-	a, d := len(t.arm), len(t.amd)
-	mixed := maxARM * a * maxAMD * d
-	switch {
-	case i < mixed:
-		di := i % d
-		r := i / d
-		nd := r%maxAMD + 1
-		r /= maxAMD
-		ai := r % a
-		na := r/a + 1
-		return t.point(na, nd, t.arm[ai], t.amd[di], w)
-	case i < mixed+maxARM*a:
-		j := i - mixed
-		return t.point(j/a+1, 0, t.arm[j%a], kernelEntry{}, w)
+// pointAt evaluates the point at index idx of the paper's order, the
+// random access the parallel and shard walkers use: idx is remapped
+// into paperBoxes' boxes (mixes, then ARM-only, then AMD-only).
+func (v *pairView) pointAt(idx uint64, w float64) Point {
+	r0, r1 := uint64(v.radix[0]-1), uint64(v.radix[1]-1) // present options per type
+	var p0, p1 uint64
+	switch mixed := r0 * r1; {
+	case idx < mixed:
+		p0, p1 = 1+idx/r1, 1+idx%r1
+	case idx < mixed+r0:
+		p0 = 1 + idx - mixed
 	default:
-		j := i - mixed - maxARM*a
-		return t.point(0, j/d+1, kernelEntry{}, t.amd[j%d], w)
+		p1 = 1 + idx - mixed - r0
+	}
+	sel := [2]*genOption{&v.opts[0][p0], &v.opts[1][p1]}
+	var work [2]float64
+	tt, e, _ := eval(sel[:], v.switchW, w, work[:], nil, nil)
+	return pairPoint(&sel, &work, tt, e)
+}
+
+// pairPoint decodes the Point of the picked (ARM, AMD) options straight
+// from them and from eval's results (an absent option has a zero
+// config).
+func pairPoint(sel *[2]*genOption, work *[2]float64, tt, energy float64) Point {
+	workARM := 0.0
+	if tot := work[0] + work[1]; tot > 0 {
+		workARM = work[0] / tot
+	}
+	return Point{
+		Config: Configuration{
+			ARM: TypeConfig{Nodes: sel[0].count, Config: sel[0].cfg},
+			AMD: TypeConfig{Nodes: sel[1].count, Config: sel[1].cfg},
+		},
+		Time:    units.Seconds(tt),
+		Energy:  units.Joule(energy),
+		WorkARM: workARM,
 	}
 }

@@ -28,18 +28,17 @@ const parallelChunk = 512
 //
 // workers <= 0 selects GOMAXPROCS.
 func (s Space) EnumerateParallel(maxARM, maxAMD int, w float64, workers int) ([]Point, error) {
-	kt, err := s.enumKernels(maxARM, maxAMD, w)
+	v, err := s.enumView(maxARM, maxAMD, w, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := kt.size(maxARM, maxAMD)
-	out := make([]Point, n)
-	err = parallelFor(n, workers, parallelChunk, func(lo, hi int) error {
+	out := make([]Point, v.size)
+	err = parallelFor(len(out), workers, parallelChunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			out[i] = kt.pointAt(i, maxARM, maxAMD, w)
+			out[i] = v.pointAt(uint64(i), w)
 		}
 		return nil
 	})

@@ -90,8 +90,8 @@ func (ps PruneStats) Reduction() float64 {
 // domination-pruned per-node configurations. Its Pareto frontier equals
 // the full space's (see the file comment), at a fraction of the cost.
 func (s Space) EnumeratePruned(maxARM, maxAMD int, w float64) ([]Point, PruneStats, error) {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return nil, PruneStats{}, fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
+	if err := checkBounds(maxARM, maxAMD, w); err != nil {
+		return nil, PruneStats{}, err
 	}
 	armCfgs, err := PrunedNodeConfigs(s.ARM)
 	if err != nil {
@@ -101,29 +101,20 @@ func (s Space) EnumeratePruned(maxARM, maxAMD int, w float64) ([]Point, PruneSta
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
-	stats := PruneStats{
-		ARMConfigs: len(armCfgs),
-		AMDConfigs: len(amdCfgs),
-		FullSpace:  s.SpaceSize(maxARM, maxAMD),
-		PrunedSpace: maxARM*len(armCfgs)*maxAMD*len(amdCfgs) +
-			maxARM*len(armCfgs) + maxAMD*len(amdCfgs),
-	}
-	if err := validWork(w); err != nil {
-		return nil, PruneStats{}, err
-	}
 	// The kernel entries for the surviving configurations carry the same
 	// coefficients as the full table's, so pruned points are bit-identical
 	// to their counterparts in Enumerate's output.
-	kt, err := s.kernels(maxARM, maxAMD, armCfgs, amdCfgs)
+	v, err := s.enumView(maxARM, maxAMD, w, armCfgs, amdCfgs)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
-	out := make([]Point, 0, stats.PrunedSpace)
-	kt.forEachPoint(maxARM, maxAMD, w, func(p Point) bool {
-		out = append(out, p)
-		return true
-	})
-	return out, stats, nil
+	stats := PruneStats{
+		ARMConfigs:  len(armCfgs),
+		AMDConfigs:  len(amdCfgs),
+		FullSpace:   s.SpaceSize(maxARM, maxAMD),
+		PrunedSpace: int(v.size),
+	}
+	return v.collect(w), stats, nil
 }
 
 // MostEfficientPerNode is a convenience over PrunedNodeConfigs: the

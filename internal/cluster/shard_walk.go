@@ -70,23 +70,25 @@ func (g *GenericTable) ForEachShard(w float64, sh shard.Shard, yield func(p Gene
 // toward the smallest serial index (not first-offered: the shard walk
 // order is permuted), so shard frontiers merge deterministically.
 func (g *GenericTable) FrontierShard(w float64, sh shard.Shard) (ShardFrontier[GenericPoint], error) {
-	tr := pareto.TrackedIndexed[GenericPoint]{Clone: GenericPoint.Clone}
-	var insErr error
-	err := g.ForEachShard(w, sh, func(p GenericPoint, idx uint64) bool {
-		if _, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, idx, p); err != nil {
-			insErr = err
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = insErr
+	f := shardFrontier[GenericPoint]{tr: pareto.TrackedIndexed[GenericPoint]{Clone: GenericPoint.Clone}}
+	err := g.ForEachShard(w, sh, func(p GenericPoint, idx uint64) bool { return f.ok(f.tr.Insert(p.te(), idx, p)) })
+	return f.result(err)
+}
+
+// shardFrontier is frontier for shard walks, which yield
+// f.ok(f.tr.Insert(p.te(), idx, p)).
+type shardFrontier[P any] struct {
+	tr pareto.TrackedIndexed[P]
+	insertErr
+}
+
+// result returns the partial frontier or the first error.
+func (f *shardFrontier[P]) result(err error) (ShardFrontier[P], error) {
+	if err = f.or(err); err != nil {
+		return ShardFrontier[P]{}, err
 	}
-	if err != nil {
-		return ShardFrontier[GenericPoint]{}, err
-	}
-	pts, tes, idxs := tr.Frontier()
-	return ShardFrontier[GenericPoint]{Points: pts, TEs: tes, Indices: idxs}, nil
+	pts, tes, idxs := f.tr.Frontier()
+	return ShardFrontier[P]{Points: pts, TEs: tes, Indices: idxs}, nil
 }
 
 // EnumerateGroupsShard materializes shard sh's slice of the generic
@@ -126,20 +128,17 @@ func EnumerateGroupsShard(types []GroupType, w float64, sh shard.Shard) ([]Gener
 // bounded (maxARM, maxAMD) space, yielded with serial indices in
 // Enumerate's order.
 func (t *Table) ForEachShard(maxARM, maxAMD int, w float64, sh shard.Shard, yield func(p Point, index uint64) bool) error {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
-	}
-	if err := validWork(w); err != nil {
+	if err := checkBounds(maxARM, maxAMD, w); err != nil {
 		return err
 	}
 	if err := sh.Validate(); err != nil {
 		return err
 	}
-	size := uint64(t.kt.size(maxARM, maxAMD))
-	perm := shard.NewPermutation(size, shard.DefaultSeed)
-	for j := uint64(sh.Index); j < size; j += uint64(sh.Count) {
+	v := t.view(maxARM, maxAMD)
+	perm := shard.NewPermutation(v.size, shard.DefaultSeed)
+	for j := uint64(sh.Index); j < v.size; j += uint64(sh.Count) {
 		idx := perm.Apply(j)
-		if !yield(t.kt.pointAt(int(idx), maxARM, maxAMD, w), idx) {
+		if !yield(v.pointAt(idx, w), idx) {
 			return nil
 		}
 	}
@@ -149,23 +148,9 @@ func (t *Table) ForEachShard(maxARM, maxAMD int, w float64, sh shard.Shard, yiel
 // FrontierShard is the two-type partial frontier with serial indices,
 // duplicate-resolved toward the smallest index like the generic form.
 func (t *Table) FrontierShard(maxARM, maxAMD int, w float64, sh shard.Shard) (ShardFrontier[Point], error) {
-	var tr pareto.TrackedIndexed[Point] // Points are values: no Clone needed
-	var insErr error
-	err := t.ForEachShard(maxARM, maxAMD, w, sh, func(p Point, idx uint64) bool {
-		if _, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, idx, p); err != nil {
-			insErr = err
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = insErr
-	}
-	if err != nil {
-		return ShardFrontier[Point]{}, err
-	}
-	pts, tes, idxs := tr.Frontier()
-	return ShardFrontier[Point]{Points: pts, TEs: tes, Indices: idxs}, nil
+	var f shardFrontier[Point]
+	err := t.ForEachShard(maxARM, maxAMD, w, sh, func(p Point, idx uint64) bool { return f.ok(f.tr.Insert(p.te(), idx, p)) })
+	return f.result(err)
 }
 
 // MergeShardFrontiers merges partial frontiers into the frontier of the

@@ -14,11 +14,11 @@ import (
 // Enumerate's order, without materializing the point slice. Returning
 // false from yield stops the enumeration early (not an error).
 func (s Space) EnumerateFunc(maxARM, maxAMD int, w float64, yield func(Point) bool) error {
-	kt, err := s.enumKernels(maxARM, maxAMD, w)
+	v, err := s.enumView(maxARM, maxAMD, w, nil, nil)
 	if err != nil {
 		return err
 	}
-	kt.forEachPoint(maxARM, maxAMD, w, yield)
+	v.walk(w, yield)
 	return nil
 }
 
@@ -29,32 +29,53 @@ func (s Space) EnumerateFunc(maxARM, maxAMD int, w float64, yield func(Point) bo
 // pareto.Frontier's order (time-ascending), with each Index pointing into
 // the returned point slice.
 func FrontierOf(s Space, maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, error) {
-	return frontierOfStream(func(yield func(Point) bool) error {
-		return s.EnumerateFunc(maxARM, maxAMD, w, yield)
-	})
+	var f frontier[Point]
+	err := s.EnumerateFunc(maxARM, maxAMD, w, func(p Point) bool { return f.ok(f.tr.Insert(p.te(), p)) })
+	return f.result(err)
 }
 
-// frontierOfStream runs an online Pareto frontier over any streaming
-// enumeration via pareto.Tracked; the shared core of FrontierOf and
-// Table.Frontier. Points need no Clone hook: the two-type enumerators
-// yield value-type Points with no retained backing storage.
-func frontierOfStream(enumerate func(yield func(Point) bool) error) ([]Point, []pareto.TE, error) {
-	var tr pareto.Tracked[Point]
-	var addErr error
-	err := enumerate(func(p Point) bool {
-		_, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p)
-		if err != nil {
-			addErr = err
-			return false
-		}
-		return true
-	})
-	if err != nil {
+// te is the point's (time, energy). Its pointer receiver keeps the hot
+// frontier closures from copying the point.
+func (p *Point) te() pareto.TE {
+	return pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}
+}
+
+func (p *GenericPoint) te() pareto.TE {
+	return pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}
+}
+
+// frontier is the one online frontier loop of the two-type and N-type
+// walks: each yields f.ok(f.tr.Insert(p.te(), p)). Set tr.Clone when the
+// walk reuses its payload's storage.
+type frontier[P any] struct {
+	tr pareto.Tracked[P]
+	insertErr
+}
+
+// result returns the frontier or the first error.
+func (f *frontier[P]) result(err error) ([]P, []pareto.TE, error) {
+	if err = f.or(err); err != nil {
 		return nil, nil, err
 	}
-	if addErr != nil {
-		return nil, nil, addErr
-	}
-	pts, tes := tr.Frontier()
+	pts, tes := f.tr.Frontier()
 	return pts, tes, nil
+}
+
+// insertErr keeps a frontier walk's first insert error.
+type insertErr struct{ err error }
+
+// ok takes an insert's results; false stops the walk.
+func (e *insertErr) ok(_ bool, err error) bool {
+	if err != nil {
+		e.err = err
+	}
+	return err == nil
+}
+
+// or returns the walk's own error, else the first insert error.
+func (e *insertErr) or(walkErr error) error {
+	if walkErr != nil {
+		return walkErr
+	}
+	return e.err
 }

@@ -18,9 +18,10 @@ import (
 // the model walk across queries. A Table is immutable after construction
 // and safe for concurrent use.
 type Table struct {
-	space    Space
-	kt       spaceKernels
-	arm, amd map[hwsim.Config]int
+	space          Space
+	arm, amd       []kernelEntry
+	switchW        float64 // per-switch watts charged to ARM-side energy (0 under NoSwitchEnergy)
+	armIdx, amdIdx map[hwsim.Config]int
 }
 
 // NewTable precomputes the kernel table for every per-node configuration
@@ -28,23 +29,24 @@ type Table struct {
 // validated — a Table exists to answer arbitrary later queries, either
 // side of which may be populated.
 func (s Space) NewTable() (*Table, error) {
-	kt, err := s.kernels(1, 1, nil, nil)
+	t, err := s.table(1, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		space: s,
-		kt:    kt,
-		arm:   make(map[hwsim.Config]int, len(kt.arm)),
-		amd:   make(map[hwsim.Config]int, len(kt.amd)),
+	t.indexConfigs()
+	return &t, nil
+}
+
+// indexConfigs builds the config-to-entry maps Evaluate looks up.
+func (t *Table) indexConfigs() {
+	t.armIdx = make(map[hwsim.Config]int, len(t.arm))
+	t.amdIdx = make(map[hwsim.Config]int, len(t.amd))
+	for i, e := range t.arm {
+		t.armIdx[e.cfg] = i
 	}
-	for i, e := range kt.arm {
-		t.arm[e.cfg] = i
+	for i, e := range t.amd {
+		t.amdIdx[e.cfg] = i
 	}
-	for i, e := range kt.amd {
-		t.amd[e.cfg] = i
-	}
-	return t, nil
 }
 
 // Space returns the space the table was built from.
@@ -65,28 +67,35 @@ func (t *Table) Evaluate(cfg Configuration, w float64) (Point, error) {
 	if cfg.ARM.Nodes+cfg.AMD.Nodes == 0 {
 		return Point{}, fmt.Errorf("cluster: no nodes in any group")
 	}
-	var a, d kernelEntry
+	var a, d genOption
 	if cfg.ARM.Nodes > 0 {
-		i, ok := t.arm[cfg.ARM.Config]
+		i, ok := t.armIdx[cfg.ARM.Config]
 		if !ok {
 			return Point{}, fmt.Errorf("cluster: %v is not a configuration of %s",
 				cfg.ARM.Config, t.space.ARM.Spec.Name)
 		}
-		a = t.kt.arm[i]
+		a = t.arm[i].option(cfg.ARM.Nodes)
 	}
 	if cfg.AMD.Nodes > 0 {
-		i, ok := t.amd[cfg.AMD.Config]
+		i, ok := t.amdIdx[cfg.AMD.Config]
 		if !ok {
 			return Point{}, fmt.Errorf("cluster: %v is not a configuration of %s",
 				cfg.AMD.Config, t.space.AMD.Spec.Name)
 		}
-		d = t.kt.amd[i]
+		d = t.amd[i].option(cfg.AMD.Nodes)
 	}
-	return t.kt.point(cfg.ARM.Nodes, cfg.AMD.Nodes, a, d, w), nil
+	sel := [2]*genOption{&a, &d}
+	switchW := [2]float64{t.switchW, 0}
+	var work [2]float64
+	tt, e, _ := eval(sel[:], switchW[:], w, work[:], nil, nil)
+	return pairPoint(&sel, &work, tt, e), nil
 }
 
-// Size returns how many points ForEach yields for the bounds.
-func (t *Table) Size(maxARM, maxAMD int) int { return t.kt.size(maxARM, maxAMD) }
+// Size returns how many points ForEach yields for the bounds: every
+// (ARM option, AMD option) pair but the all-absent one.
+func (t *Table) Size(maxARM, maxAMD int) int {
+	return (1+maxARM*len(t.arm))*(1+maxAMD*len(t.amd)) - 1
+}
 
 // SizeBytes estimates the table's resident size for cache accounting:
 // the kernel-entry arrays and the config-index maps (counted at a flat
@@ -96,8 +105,8 @@ func (t *Table) SizeBytes() int {
 	// A map entry costs roughly its key+value plus bucket overhead.
 	const mapEntry = int(unsafe.Sizeof(hwsim.Config{})) + 8 + 16
 	n := int(unsafe.Sizeof(Table{}))
-	n += (len(t.kt.arm) + len(t.kt.amd)) * entrySize
-	n += (len(t.arm) + len(t.amd)) * mapEntry
+	n += (len(t.arm) + len(t.amd)) * entrySize
+	n += (len(t.armIdx) + len(t.amdIdx)) * mapEntry
 	return n
 }
 
@@ -105,13 +114,10 @@ func (t *Table) SizeBytes() int {
 // Enumerate's order; yield returning false stops the walk early (not an
 // error).
 func (t *Table) ForEach(maxARM, maxAMD int, w float64, yield func(Point) bool) error {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
-	}
-	if err := validWork(w); err != nil {
+	if err := checkBounds(maxARM, maxAMD, w); err != nil {
 		return err
 	}
-	t.kt.forEachPoint(maxARM, maxAMD, w, yield)
+	t.view(maxARM, maxAMD).walk(w, yield)
 	return nil
 }
 
@@ -119,7 +125,7 @@ func (t *Table) ForEach(maxARM, maxAMD int, w float64, yield func(Point) bool) e
 // Pareto-optimal points, exactly as FrontierOf does but off the
 // precomputed table.
 func (t *Table) Frontier(maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, error) {
-	return frontierOfStream(func(yield func(Point) bool) error {
-		return t.ForEach(maxARM, maxAMD, w, yield)
-	})
+	var f frontier[Point]
+	err := t.ForEach(maxARM, maxAMD, w, func(p Point) bool { return f.ok(f.tr.Insert(p.te(), p)) })
+	return f.result(err)
 }

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"heteromix/internal/hwsim"
+	"heteromix/internal/shard"
 )
 
 func TestTableEvaluateMatchesSpaceEvaluate(t *testing.T) {
@@ -35,6 +37,136 @@ func TestTableEvaluateMatchesSpaceEvaluate(t *testing.T) {
 		}
 		if !relClose(float64(got.Energy), float64(want.Energy), 1e-12) {
 			t.Errorf("%v: energy %v != direct %v", cfg, got.Energy, want.Energy)
+		}
+		// The predict hot path runs here: it must not allocate.
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = tbl.Evaluate(cfg, w) }); allocs != 0 {
+			t.Errorf("%v: Table.Evaluate allocates %v times per call, want 0", cfg, allocs)
+		}
+	}
+}
+
+// TestPaperEnumerationOrder pins the two-type enumeration order — a wire
+// contract: a limited /v1/enumerate answer is a prefix of it and shard
+// frontiers break ties by it — independently of the kernel: every mix
+// (ARM count, ARM config, AMD count, AMD config, nested in that order),
+// then the ARM-only family, then the AMD-only family, each config list
+// in hwsim.Configs order.
+func TestPaperEnumerationOrder(t *testing.T) {
+	s := epSpace(t)
+	tbl, err := s.NewTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w, maxARM, maxAMD = 5e6, 3, 2
+	order := func(keepARM, keepAMD func(hwsim.Config) bool) []Configuration {
+		filter := func(cfgs []hwsim.Config, keep func(hwsim.Config) bool) []hwsim.Config {
+			var out []hwsim.Config
+			for _, c := range cfgs {
+				if keep == nil || keep(c) {
+					out = append(out, c)
+				}
+			}
+			return out
+		}
+		armCfgs, amdCfgs := filter(hwsim.Configs(s.ARM.Spec), keepARM), filter(hwsim.Configs(s.AMD.Spec), keepAMD)
+		var want []Configuration
+		for na := 1; na <= maxARM; na++ {
+			for _, a := range armCfgs {
+				for nd := 1; nd <= maxAMD; nd++ {
+					for _, d := range amdCfgs {
+						want = append(want, Configuration{ARM: TypeConfig{na, a}, AMD: TypeConfig{nd, d}})
+					}
+				}
+			}
+		}
+		for na := 1; na <= maxARM; na++ {
+			for _, a := range armCfgs {
+				want = append(want, Configuration{ARM: TypeConfig{na, a}})
+			}
+		}
+		for nd := 1; nd <= maxAMD; nd++ {
+			for _, d := range amdCfgs {
+				want = append(want, Configuration{AMD: TypeConfig{nd, d}})
+			}
+		}
+		return want
+	}
+	configsOf := func(walk func(yield func(Point) bool) error) []Configuration {
+		t.Helper()
+		var got []Configuration
+		if err := walk(func(p Point) bool {
+			got = append(got, p.Config)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	check := func(name string, got, want []Configuration) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d points, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: point %d is %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	full := order(nil, nil)
+	pts, err := s.Enumerate(maxARM, maxAMD, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enumerated := make([]Configuration, len(pts))
+	for i, p := range pts {
+		enumerated[i] = p.Config
+	}
+	check("Space.Enumerate", enumerated, full)
+	check("Table.ForEach", configsOf(func(y func(Point) bool) error { return tbl.ForEach(maxARM, maxAMD, w, y) }), full)
+
+	topARM, topAMD := maxCfg(s.ARM.Spec).Frequency, maxCfg(s.AMD.Spec).Frequency
+	keepARM := func(c hwsim.Config) bool { return c.Frequency == topARM }
+	keepAMD := func(c hwsim.Config) bool { return c.Frequency == topAMD }
+	check("EnumerateFilteredFunc", configsOf(func(y func(Point) bool) error {
+		return s.EnumerateFilteredFunc(maxARM, maxAMD, w, keepARM, keepAMD, y)
+	}), order(keepARM, keepAMD))
+
+	for _, mix := range [][2]int{{2, 1}, {3, 0}, {0, 2}} {
+		var want []Configuration
+		for _, c := range full {
+			if c.ARM.Nodes == mix[0] && c.AMD.Nodes == mix[1] {
+				want = append(want, c)
+			}
+		}
+		pts, err := s.EnumerateMix(mix[0], mix[1], w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Configuration, len(pts))
+		for i, p := range pts {
+			got[i] = p.Config
+		}
+		check(fmt.Sprintf("EnumerateMix(%d, %d)", mix[0], mix[1]), got, want)
+	}
+
+	for _, n := range []int{1, 3, 7} {
+		seen := 0
+		for i := 0; i < n; i++ {
+			err := tbl.ForEachShard(maxARM, maxAMD, w, shard.Shard{Index: i, Count: n}, func(p Point, idx uint64) bool {
+				seen++
+				if idx >= uint64(len(pts)) || p != pts[idx] {
+					t.Fatalf("n=%d: shard point at index %d is %v, Enumerate has %v", n, idx, p, pts[min(idx, uint64(len(pts)-1))])
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if seen != len(pts) {
+			t.Errorf("n=%d: shards yielded %d points, want %d", n, seen, len(pts))
 		}
 	}
 }

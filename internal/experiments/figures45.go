@@ -66,9 +66,10 @@ func (s *Suite) frontierAnalysis(workload string, maxARM, maxAMD int, jobUnits f
 	if jobUnits <= 0 {
 		jobUnits = w.AnalysisUnits
 	}
-	// The suite's shared table serves the enumeration: the kernel walk
-	// is bit-identical to Space.EnumerateFunc, and concurrent stages
-	// (fig4, fig5, headline) compile each workload's table only once.
+	// The suite's shared table serves the enumeration: Table.ForEach and
+	// Space.EnumerateFunc run the same walk of the same kernel, so the
+	// points are bit-identical, and concurrent stages (fig4, fig5,
+	// headline) compile each workload's table only once.
 	tbl, err := s.Table(workload, noSwitch)
 	if err != nil {
 		return FrontierResult{}, err

@@ -76,8 +76,8 @@ func (s *Suite) MixSeries(workload string, mixes []budget.Mix, jobUnits float64)
 		jobUnits = w.AnalysisUnits
 	}
 	// One shared compiled table serves every mix of the series (and
-	// every other stage touching this workload); the walk is
-	// bit-identical to Space.EnumerateFunc.
+	// every other stage touching this workload); Table.ForEach runs
+	// Space.EnumerateFunc's walk, so the points are bit-identical.
 	tbl, err := s.Table(workload, false)
 	if err != nil {
 		return MixSeriesResult{}, err

@@ -143,7 +143,13 @@ func TestEnumerateBreakerDegradedServing(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 	})
-	const body = `{"workload":"ep","max_arm":3,"max_amd":2}`
+	// A small limit keeps each answer well inside the timeout even under
+	// the race detector; building the models up front (in the order the
+	// seed request would) keeps the model build out of the timed request.
+	const body = `{"workload":"ep","max_arm":3,"max_amd":2,"limit":50}`
+	if _, err := s.tableFor("ep", false); err != nil {
+		t.Fatal(err)
+	}
 
 	// Seed the cache with a good result.
 	rr := post(t, s, "/v1/enumerate", body)

@@ -797,7 +797,9 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 		if sw.code >= 400 {
 			em.errors.Inc()
 		}
-		if ctx.Err() != nil {
+		// A client that hung up (context.Canceled), such as a cancelled
+		// hedge loser, is not a timeout.
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.timeouts.Inc()
 		}
 	})

@@ -507,6 +507,17 @@ func TestRequestTimeoutAnswers503(t *testing.T) {
 	if got := s.reg.Snapshot()["heteromixd_timeouts_total"]; got != 1 {
 		t.Errorf("timeouts counter = %v, want 1", got)
 	}
+
+	// A client that hung up before the answer is not a timeout.
+	c := newTestServer(t, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/enumerate",
+		strings.NewReader(`{"workload":"ep","max_arm":3,"max_amd":3}`)).WithContext(ctx)
+	c.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	if got := c.reg.Snapshot()["heteromixd_timeouts_total"]; got != 0 {
+		t.Errorf("cancelled request: timeouts counter = %v, want 0", got)
+	}
 }
 
 // blockingSource delegates to an inner ModelSource but runs a hook

@@ -46,11 +46,20 @@ func TestChaosSoakDaemonSurvives(t *testing.T) {
 
 	// Seed the enumerate entry so the degraded path has something stale
 	// to fall back on, and the predict/table caches are warm.
-	const enumBody = `{"workload":"ep","max_arm":3,"max_amd":2}`
-	for {
+	// A small limit keeps each answer well inside the timeout even under
+	// the race detector; building the models up front (in the order the
+	// seed request would) keeps the model build out of the timed request.
+	const enumBody = `{"workload":"ep","max_arm":3,"max_amd":2,"limit":50}`
+	if _, err := s.tableFor("ep", false); err != nil {
+		t.Fatal(err)
+	}
+	for seedBy := time.Now().Add(10 * time.Second); ; {
 		rr := post(t, s, "/v1/enumerate", enumBody)
 		if rr.Code == http.StatusOK {
 			break
+		}
+		if time.Now().After(seedBy) {
+			t.Fatalf("seed enumerate never answered 200 in 10 s; last: %d %s", rr.Code, rr.Body)
 		}
 	}
 
