@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X heteromix/internal/buildinfo.Version=$(VERSION) \
            -X heteromix/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: all build vet test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream perfbench-build ci
+.PHONY: all build vet test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-core bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream perfbench-build ci
 
 all: ci
 
@@ -87,11 +87,23 @@ bench:
 # The generic N-type enumeration paths on the tri-cluster space
 # (384,344 points): serial materialization, domination-pruned, streaming
 # frontier, and the production pruned+parallel+frontier path that must
-# stay ≥20× under the seed serial numbers (see README Performance).
+# stay ≥20× under the seed serial numbers (see README Performance). The
+# allocation gate holds the frontier walks (pruned 4/4/4 N-type, 16x16
+# two-type) to their measured allocs per walk: a walk that copies a
+# point per frontier insert fails it.
 bench-generic:
+	$(GO) test ./internal/cluster -count=1 \
+		-run 'TestFrontierAllocGate' -v
 	$(GO) test ./internal/cluster -run '^$$' \
 		-bench 'BenchmarkEnumerateGroups(Serial|Pruned|Parallel|Frontier)' \
 		-benchmem -benchtime=3x
+
+# The core layers of the frontier path, one benchmark each (table
+# compile, bare walk, serial and parallel frontier, two-type frontier,
+# one shard's walk, shard merge), written to BENCH_core.json as
+# per-benchmark medians with the CPU count, Go version and commit.
+bench-core:
+	GO=$(GO) bash scripts/bench-core.sh
 
 # Throughput gate for the daemon's cached predict path (~0.8 µs and
 # 3 allocs/op warm vs ~34 µs cold; see README Performance).

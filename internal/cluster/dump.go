@@ -222,12 +222,9 @@ func NewGenericTableFromDump(d GenericTableDump) (*GenericTable, error) {
 			}); err != nil {
 				return nil, err
 			}
-			opts[j] = genOption{
-				count: od.Count,
-				cfg:   hwsim.Config{Cores: od.Cores, Frequency: units.Hertz(math.Float64frombits(od.FrequencyBits))},
-				k:     math.Float64frombits(od.TimeBits),
-				epu:   math.Float64frombits(od.EnergyBits),
-			}
+			opts[j] = newOption(od.Count,
+				hwsim.Config{Cores: od.Cores, Frequency: units.Hertz(math.Float64frombits(od.FrequencyBits))},
+				math.Float64frombits(od.TimeBits), math.Float64frombits(od.EnergyBits), sw)
 		}
 		t.opts[i] = opts
 		t.switchW[i] = sw

@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"heteromix/internal/shard"
+)
 
 // The 3-type benchmark space: the tri-cluster example's A9/A15/K10 mix
 // at 4 nodes per type — 384,344 configurations before pruning.
@@ -74,5 +78,137 @@ func BenchmarkEnumerateGroupsParallel(b *testing.B) {
 		if len(tes) == 0 {
 			b.Fatal("empty frontier")
 		}
+	}
+}
+
+// The core-layer benchmarks below (make bench-core) split the served
+// frontier path into its layers over one pruned tri-cluster table:
+// compile, a bare walk, the serial and parallel frontiers, one shard's
+// walk and the shard merge, plus the two-type frontier at the largest
+// bounds the frontier-sweep workload draws.
+
+// benchPrunedTable compiles the pruned 4/4/4 tri-cluster table.
+func benchPrunedTable(tb testing.TB) *GenericTable {
+	pruned, err := PruneGroupTypes(triTypes(tb, 4, 4, 4))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := NewGenericTable(pruned)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+func BenchmarkGenericTableCompile(b *testing.B) {
+	types := benchTriTypes(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewGenericTable(types); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGenericTableForEach(b *testing.B) {
+	g := benchPrunedTable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.ForEach(50e6, func(GenericPoint) bool { return true }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGenericTableFrontier(b *testing.B) {
+	g := benchPrunedTable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := g.Frontier(50e6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGenericTableFrontierParallel(b *testing.B) {
+	g := benchPrunedTable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := g.FrontierParallel(50e6, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGenericTableFrontierShard(b *testing.B) {
+	g := benchPrunedTable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.FrontierShard(50e6, shard.Shard{Index: 0, Count: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMergeShardFrontiers(b *testing.B) {
+	g := benchPrunedTable(b)
+	parts := make([]ShardFrontier[GenericPoint], 4)
+	for i := range parts {
+		var err error
+		if parts[i], err = g.FrontierShard(50e6, shard.Shard{Index: i, Count: len(parts)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MergeShardFrontiers(parts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTableFrontier16x16(b *testing.B) {
+	tbl, err := epSpace(b).NewTable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tbl.Frontier(16, 16, 50e6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFrontierAllocGate bounds the frontier walks' allocations: a walk
+// keeps only indices and decodes its survivors into flat backings, so
+// its count grows with the frontier's log size, never with its inserts.
+// The bounds are the measured counts (Go 1.24, linux/amd64); cloning a
+// point per frontier insert costs hundreds.
+func TestFrontierAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race adds allocations; the gate counts a plain build's")
+	}
+	g := benchPrunedTable(t)
+	generic := testing.AllocsPerRun(5, func() {
+		if _, _, err := g.Frontier(50e6); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tbl, err := epSpace(t).NewTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := testing.AllocsPerRun(5, func() {
+		if _, _, err := tbl.Frontier(16, 16, 50e6); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per frontier: pruned 4/4/4 generic %v, 16x16 two-type %v", generic, two)
+	if generic > 16 {
+		t.Errorf("GenericTable.Frontier allocated %v times per walk, gate 16", generic)
+	}
+	if two > 12 {
+		t.Errorf("Table.Frontier allocated %v times per walk, gate 12", two)
 	}
 }

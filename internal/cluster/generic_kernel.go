@@ -19,20 +19,36 @@ import (
 // enters only the per-point arithmetic, so one table serves every work
 // size (validated per call) and per-point evaluation is infallible.
 //
-// eval is the one arithmetic that turns coefficients into (T, E, split);
-// cluster.Evaluate is the independent reference tests compare it with.
-// first/next are the one odometer, over any box of per-type [lo, hi)
-// option bounds: the N-type walk is the full box minus the all-absent
-// vector, and the two-type Space and Table (kernel.go) walk an N=2 view
-// as the paper's three boxes.
+// score is the one arithmetic that turns coefficients into (T, E, split):
+// eval runs it for the materializing walks, and the frontier walks
+// (frontier.go) run it alone, computing no point at all until a survivor
+// is decoded; cluster.Evaluate is the independent reference tests
+// compare it with. first/next are the one odometer, over any box of
+// per-type [lo, hi) option bounds: the N-type walk is the full box minus
+// the all-absent vector, and the two-type Space and Table (kernel.go)
+// walk an N=2 view as the paper's three boxes.
 
 // genOption is one (count, per-node configuration) choice of a type;
-// count 0 is the absent option and carries no kernel.
+// count 0 is the absent option and carries no kernel (all zero).
 type genOption struct {
 	count int
 	cfg   hwsim.Config
 	k     float64 // seconds per work unit on one node
 	epu   float64 // joules per work unit on one node
+	thr   float64 // count/k: the option's throughput in work units per second
+	swW   float64 // switch watts × switches: the option's switch draw
+}
+
+// newOption is the one constructor of a present option, from its
+// compiled (or restored) coefficients and its type's per-switch watts:
+// it fixes the per-point constants score reads, with the same
+// expressions the per-point arithmetic would evaluate.
+func newOption(count int, cfg hwsim.Config, k, epu, switchW float64) genOption {
+	return genOption{
+		count: count, cfg: cfg, k: k, epu: epu,
+		thr: float64(count) / k,
+		swW: switchW * float64(armSwitches(count)),
+	}
 }
 
 // genericTable is the precomputed evaluation table of an N-type space.
@@ -76,11 +92,11 @@ func typeConfigs(gt GroupType) []hwsim.Config {
 }
 
 // typeOptions lists one type's options: absent, then count-major.
-func typeOptions(entries []kernelEntry, maxNodes int) []genOption {
+func typeOptions(entries []kernelEntry, maxNodes int, switchW float64) []genOption {
 	opts := make([]genOption, 1, 1+max(maxNodes, 0)*len(entries))
 	for n := 1; n <= maxNodes; n++ {
 		for _, e := range entries {
-			opts = append(opts, e.option(n))
+			opts = append(opts, e.option(n, switchW))
 		}
 	}
 	return opts
@@ -126,10 +142,10 @@ func newGenericTable(types []GroupType) (*genericTable, error) {
 				return nil, fmt.Errorf("cluster: type %d: %w", i, err)
 			}
 		}
-		t.opts[i] = typeOptions(entries, gt.MaxNodes)
 		if gt.NeedsSwitch {
 			t.switchW[i] = float64(SwitchPower)
 		}
+		t.opts[i] = typeOptions(entries, gt.MaxNodes, t.switchW[i])
 	}
 	t.shape(make([]int, len(types)), make([]uint64, len(types)))
 	return t, nil
@@ -149,44 +165,51 @@ func (t *genericTable) intSize() (int, error) {
 }
 
 // eval predicts w work units on the picked options sel (one per type,
-// count 0 absent): the matching split of Eq. 1 (throughputs n/k summed
-// in type order, every group finishing at T = w / Σ thr), each type's
-// share into work, and the Eq. 4 energy sum in type order with each
-// type's switch draw over T. It fills counts and configs when given;
-// the two-type view passes nil and decodes its Point from sel. ok is
+// count 0 absent): their throughputs summed in type order, then score.
+// It fills work (each type's share), counts and configs when given; the
+// two-type view passes nil counts and decodes its Point from sel. ok is
 // false only when every type is absent.
-func eval(sel []*genOption, switchW []float64, w float64, work []float64, counts []int, configs []hwsim.Config) (tt, energy float64, ok bool) {
-	work, switchW = work[:len(sel)], switchW[:len(sel)]
+func eval(sel []*genOption, w float64, work []float64, counts []int, configs []hwsim.Config) (tt, energy float64, ok bool) {
 	total := 0.0
 	for i, o := range sel {
 		if counts != nil {
 			counts[i] = o.count
 			configs[i] = o.cfg
 		}
-		thr := 0.0
-		if o.count > 0 {
-			thr = float64(o.count) / o.k
-			total += thr
-		}
-		work[i] = thr // throughput scratch until the split below
+		// An absent option adds +0, which leaves the sum's bits alone.
+		total += o.thr
 	}
 	if total == 0 {
 		return 0, 0, false
 	}
+	tt, energy = score(sel, w, total, work)
+	return tt, energy, true
+}
+
+// score is the matching split of Eq. 1 and the energy of Eq. 4 for the
+// picked options whose throughputs n/k sum (in type order) to total > 0:
+// every group finishes at T = w / total, and the energy sums, in type
+// order, each present type's share w·thr/total at its per-unit energy
+// plus its switch draw over T. work, when given, receives each type's
+// share (0 when absent). The order of every operation is fixed: the
+// walks' bit identity rests on it, so do not reassociate.
+func score(sel []*genOption, w, total float64, work []float64) (tt, energy float64) {
 	tt = w / total
 	for i, o := range sel {
-		if o.count == 0 {
-			continue
+		wk := 0.0
+		if o.count > 0 {
+			wk = w * o.thr / total
+			e := o.epu * wk
+			if o.swW > 0 {
+				e += o.swW * tt
+			}
+			energy += e
 		}
-		wk := w * work[i] / total
-		work[i] = wk
-		e := o.epu * wk
-		if switchW[i] > 0 {
-			e += switchW[i] * float64(armSwitches(o.count)) * tt
+		if work != nil {
+			work[i] = wk
 		}
-		energy += e
 	}
-	return tt, energy, true
+	return tt, energy
 }
 
 // first sets the odometer to box [lo, hi)'s first vector (pick holds
@@ -244,7 +267,7 @@ func (t *genericTable) newCursor() *genCursor {
 
 // load evaluates the picked options into c.p; false for all-absent.
 func (c *genCursor) load(w float64) bool {
-	tt, e, ok := eval(c.sel, c.t.switchW, w, c.p.Work, c.p.Counts, c.p.Configs)
+	tt, e, ok := eval(c.sel, w, c.p.Work, c.p.Counts, c.p.Configs)
 	c.p.Time, c.p.Energy = units.Seconds(tt), units.Joule(e)
 	return ok
 }
@@ -265,12 +288,18 @@ func (t *genericTable) forEach(c *genCursor, w float64, yield func(GenericPoint)
 
 // at evaluates the point at linear index idx of forEach's order into
 // c's scratch (idx 1..size; index 0 is the all-absent vector) — the
-// random-access view the dynamic parallel scheduler uses.
+// random-access view the parallel, shard and frontier-decode paths use.
 func (t *genericTable) at(c *genCursor, idx uint64, w float64) bool {
-	for i := range c.sel {
-		c.sel[i] = &t.opts[i][idx/t.stride[i]%uint64(t.radix[i])]
-	}
+	t.seek(c.pick, c.sel, idx)
 	return c.load(w)
+}
+
+// seek sets the odometer to the full box's vector at linear index idx.
+func (t *genericTable) seek(pick []int, sel []*genOption, idx uint64) {
+	for i := range sel {
+		pick[i] = int(idx / t.stride[i] % uint64(t.radix[i]))
+		sel[i] = &t.opts[i][pick[i]]
+	}
 }
 
 // genBacking carves materialized points' slices out of three flat

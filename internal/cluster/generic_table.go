@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"unsafe"
-
-	"heteromix/internal/pareto"
 )
 
 // GenericTable is the exported, reusable form of the generic N-type
@@ -131,62 +129,4 @@ func (g *GenericTable) EnumerateParallel(w float64, workers int) ([]GenericPoint
 		return nil, err
 	}
 	return out, nil
-}
-
-// Frontier streams the space for w work units through an online Pareto
-// frontier and returns only its optimal points, exactly as
-// GenericFrontierOf does but off the precompiled table.
-func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) {
-	f := frontier[GenericPoint]{tr: pareto.Tracked[GenericPoint]{Clone: GenericPoint.Clone}}
-	err := g.ForEach(w, func(p GenericPoint) bool { return f.ok(f.tr.Insert(p.te(), p)) })
-	return f.result(err)
-}
-
-// FrontierParallel is Frontier fanned out over a worker pool: each
-// claimed chunk maintains its own online frontier over scratch buffers
-// and the chunk frontiers are merged in enumeration order, so the
-// result is identical to the serial path (including
-// first-offered-wins among exact duplicates). The space is never
-// materialized — at most the per-chunk frontiers live at once.
-// workers <= 0 selects GOMAXPROCS.
-func (g *GenericTable) FrontierParallel(w float64, workers int) ([]GenericPoint, []pareto.TE, error) {
-	if err := g.check(w); err != nil {
-		return nil, nil, err
-	}
-	n, err := g.t.intSize()
-	if err != nil {
-		return nil, nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	numChunks := (n + genericFrontierChunk - 1) / genericFrontierChunk
-	locals := make([]frontier[GenericPoint], numChunks)
-	err = parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) error {
-		// parallelFor claims start at chunk multiples, so lo identifies
-		// the chunk's slot in the ordered merge below.
-		f := &locals[lo/genericFrontierChunk]
-		f.tr.Clone = GenericPoint.Clone
-		c := g.t.newCursor()
-		for i := lo; i < hi; i++ {
-			g.t.at(c, uint64(i)+1, w)
-			if !f.ok(f.tr.Insert(c.p.te(), c.p)) {
-				return f.err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Merge chunk frontiers in enumeration order; chunk payloads are
-	// already cloned, so the merged frontier can alias them.
-	var merged frontier[GenericPoint]
-	for ci := range locals {
-		pts, tes := locals[ci].tr.Frontier()
-		for j := range tes {
-			merged.ok(merged.tr.Insert(pareto.TE{Time: tes[j].Time, Energy: tes[j].Energy}, pts[j]))
-		}
-	}
-	return merged.result(nil)
 }

@@ -33,9 +33,10 @@ type kernelEntry struct {
 	epu float64 // joules per work unit on one node
 }
 
-// option is the entry's choice with n nodes.
-func (e kernelEntry) option(n int) genOption {
-	return genOption{count: n, cfg: e.cfg, k: e.k, epu: e.epu}
+// option is the entry's choice with n nodes, on a type drawing switchW
+// watts per switch.
+func (e kernelEntry) option(n int, switchW float64) genOption {
+	return newOption(n, e.cfg, e.k, e.epu, switchW)
 }
 
 // typeKernels validates nm once and precomputes entries for the given
@@ -120,23 +121,22 @@ func (s Space) enumView(maxARM, maxAMD int, w float64, cfgARM, cfgAMD []hwsim.Co
 
 // pairView is the N=2 genericTable of a bounded two-type space plus the
 // arrays backing its per-type slices, so a view costs three
-// allocations: itself and its two option arrays.
+// allocations: itself and its two option arrays. Its options carry the
+// ARM side's switch draw, so it needs no per-type wattage of its own.
 type pairView struct {
 	genericTable
 	arr struct {
-		opts    [2][]genOption
-		switchW [2]float64
-		radix   [2]int
-		stride  [2]uint64
+		opts   [2][]genOption
+		radix  [2]int
+		stride [2]uint64
 	}
 }
 
 // view builds the view of the (maxARM, maxAMD) space.
 func (t *Table) view(maxARM, maxAMD int) *pairView {
 	v := &pairView{}
-	v.arr.opts = [2][]genOption{typeOptions(t.arm, maxARM), typeOptions(t.amd, maxAMD)}
-	v.arr.switchW = [2]float64{t.switchW, 0}
-	v.genericTable = genericTable{opts: v.arr.opts[:], switchW: v.arr.switchW[:]}
+	v.arr.opts = [2][]genOption{typeOptions(t.arm, maxARM, t.switchW), typeOptions(t.amd, maxAMD, 0)}
+	v.genericTable = genericTable{opts: v.arr.opts[:]}
 	v.shape(v.arr.radix[:], v.arr.stride[:])
 	return v
 }
@@ -171,7 +171,7 @@ func (v *pairView) sweep(b box, w float64, yield func(Point) bool) bool {
 	var sel [2]*genOption
 	var work [2]float64
 	for ok := v.first(pick[:], sel[:], b.lo[:], b.hi[:]); ok; ok = v.next(pick[:], sel[:], b.lo[:], b.hi[:]) {
-		tt, e, _ := eval(sel[:], v.switchW, w, work[:], nil, nil)
+		tt, e, _ := eval(sel[:], w, work[:], nil, nil)
 		if !yield(pairPoint(&sel, &work, tt, e)) {
 			return false
 		}
@@ -190,9 +190,18 @@ func (v *pairView) collect(w float64) []Point {
 }
 
 // pointAt evaluates the point at index idx of the paper's order, the
-// random access the parallel and shard walkers use: idx is remapped
-// into paperBoxes' boxes (mixes, then ARM-only, then AMD-only).
+// random access the parallel, shard and frontier-decode paths use.
 func (v *pairView) pointAt(idx uint64, w float64) Point {
+	sel := v.seek(idx)
+	var work [2]float64
+	tt, e, _ := eval(sel[:], w, work[:], nil, nil)
+	return pairPoint(&sel, &work, tt, e)
+}
+
+// seek picks the options of the point at index idx of the paper's
+// order: idx is remapped into paperBoxes' boxes (mixes, then ARM-only,
+// then AMD-only).
+func (v *pairView) seek(idx uint64) [2]*genOption {
 	r0, r1 := uint64(v.radix[0]-1), uint64(v.radix[1]-1) // present options per type
 	var p0, p1 uint64
 	switch mixed := r0 * r1; {
@@ -203,10 +212,7 @@ func (v *pairView) pointAt(idx uint64, w float64) Point {
 	default:
 		p1 = 1 + idx - mixed - r0
 	}
-	sel := [2]*genOption{&v.opts[0][p0], &v.opts[1][p1]}
-	var work [2]float64
-	tt, e, _ := eval(sel[:], v.switchW, w, work[:], nil, nil)
-	return pairPoint(&sel, &work, tt, e)
+	return [2]*genOption{&v.opts[0][p0], &v.opts[1][p1]}
 }
 
 // pairPoint decodes the Point of the picked (ARM, AMD) options straight

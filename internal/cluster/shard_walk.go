@@ -23,6 +23,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"heteromix/internal/pareto"
@@ -38,57 +39,52 @@ type ShardFrontier[T any] struct {
 	Indices []uint64
 }
 
+// forShard visits shard sh's serial indices of a size-point space: the
+// permuted positions j ≡ sh.Index (mod sh.Count), mapped to their serial
+// index perm(j), until visit returns false.
+func forShard(size uint64, sh shard.Shard, visit func(idx uint64) bool) {
+	perm := shard.NewPermutation(size, shard.DefaultSeed)
+	for j := uint64(sh.Index); j < size; j += uint64(sh.Count) {
+		if !visit(perm.Apply(j)) {
+			return
+		}
+	}
+}
+
+// checkShard guards a generic shard walk's parameters.
+func (g *GenericTable) checkShard(w float64, sh shard.Shard) error {
+	if err := g.check(w); err != nil {
+		return err
+	}
+	return sh.Validate()
+}
+
+// checkShardBounds guards a two-type shard walk's parameters.
+func checkShardBounds(maxARM, maxAMD int, w float64, sh shard.Shard) error {
+	if err := checkBounds(maxARM, maxAMD, w); err != nil {
+		return err
+	}
+	return sh.Validate()
+}
+
 // ForEachShard streams shard sh's slice of the space for w work units:
 // the permuted positions j ≡ sh.Index (mod sh.Count), evaluated at
 // their serial index perm(j) and yielded with that index. The yielded
 // point is scratch, as in ForEach; yield returning false stops the walk
 // early (not an error).
 func (g *GenericTable) ForEachShard(w float64, sh shard.Shard, yield func(p GenericPoint, index uint64) bool) error {
-	if err := g.check(w); err != nil {
+	if err := g.checkShard(w, sh); err != nil {
 		return err
 	}
-	if err := sh.Validate(); err != nil {
-		return err
-	}
-	perm := shard.NewPermutation(g.t.size, shard.DefaultSeed)
 	c := g.t.newCursor()
-	for j := uint64(sh.Index); j < g.t.size; j += uint64(sh.Count) {
-		idx := perm.Apply(j)
+	forShard(g.t.size, sh, func(idx uint64) bool {
 		// Serial index idx maps to mixed-radix vector idx+1: vector 0 is
 		// the all-absent one, so every vector in [1, size] is a real point
 		// and at cannot report absent here.
 		g.t.at(c, idx+1, w)
-		if !yield(c.p, idx) {
-			return nil
-		}
-	}
+		return yield(c.p, idx)
+	})
 	return nil
-}
-
-// FrontierShard streams shard sh's slice through an online frontier and
-// returns the partial frontier with serial indices. Duplicates resolve
-// toward the smallest serial index (not first-offered: the shard walk
-// order is permuted), so shard frontiers merge deterministically.
-func (g *GenericTable) FrontierShard(w float64, sh shard.Shard) (ShardFrontier[GenericPoint], error) {
-	f := shardFrontier[GenericPoint]{tr: pareto.TrackedIndexed[GenericPoint]{Clone: GenericPoint.Clone}}
-	err := g.ForEachShard(w, sh, func(p GenericPoint, idx uint64) bool { return f.ok(f.tr.Insert(p.te(), idx, p)) })
-	return f.result(err)
-}
-
-// shardFrontier is frontier for shard walks, which yield
-// f.ok(f.tr.Insert(p.te(), idx, p)).
-type shardFrontier[P any] struct {
-	tr pareto.TrackedIndexed[P]
-	insertErr
-}
-
-// result returns the partial frontier or the first error.
-func (f *shardFrontier[P]) result(err error) (ShardFrontier[P], error) {
-	if err = f.or(err); err != nil {
-		return ShardFrontier[P]{}, err
-	}
-	pts, tes, idxs := f.tr.Frontier()
-	return ShardFrontier[P]{Points: pts, TEs: tes, Indices: idxs}, nil
 }
 
 // EnumerateGroupsShard materializes shard sh's slice of the generic
@@ -100,10 +96,7 @@ func EnumerateGroupsShard(types []GroupType, w float64, sh shard.Shard) ([]Gener
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := g.check(w); err != nil {
-		return nil, nil, err
-	}
-	if err := sh.Validate(); err != nil {
+	if err := g.checkShard(w, sh); err != nil {
 		return nil, nil, err
 	}
 	if _, err := g.t.intSize(); err != nil {
@@ -128,29 +121,12 @@ func EnumerateGroupsShard(types []GroupType, w float64, sh shard.Shard) ([]Gener
 // bounded (maxARM, maxAMD) space, yielded with serial indices in
 // Enumerate's order.
 func (t *Table) ForEachShard(maxARM, maxAMD int, w float64, sh shard.Shard, yield func(p Point, index uint64) bool) error {
-	if err := checkBounds(maxARM, maxAMD, w); err != nil {
-		return err
-	}
-	if err := sh.Validate(); err != nil {
+	if err := checkShardBounds(maxARM, maxAMD, w, sh); err != nil {
 		return err
 	}
 	v := t.view(maxARM, maxAMD)
-	perm := shard.NewPermutation(v.size, shard.DefaultSeed)
-	for j := uint64(sh.Index); j < v.size; j += uint64(sh.Count) {
-		idx := perm.Apply(j)
-		if !yield(v.pointAt(idx, w), idx) {
-			return nil
-		}
-	}
+	forShard(v.size, sh, func(idx uint64) bool { return yield(v.pointAt(idx, w), idx) })
 	return nil
-}
-
-// FrontierShard is the two-type partial frontier with serial indices,
-// duplicate-resolved toward the smallest index like the generic form.
-func (t *Table) FrontierShard(maxARM, maxAMD int, w float64, sh shard.Shard) (ShardFrontier[Point], error) {
-	var f shardFrontier[Point]
-	err := t.ForEachShard(maxARM, maxAMD, w, sh, func(p Point, idx uint64) bool { return f.ok(f.tr.Insert(p.te(), idx, p)) })
-	return f.result(err)
 }
 
 // MergeShardFrontiers merges partial frontiers into the frontier of the
@@ -159,11 +135,7 @@ func (t *Table) FrontierShard(maxARM, maxAMD int, w float64, sh shard.Shard) (Sh
 // resolution matches the serial walk. Merging the sh.Count slices of
 // one space reproduces that space's serial frontier bit for bit.
 func MergeShardFrontiers[T any](parts []ShardFrontier[T]) (ShardFrontier[T], error) {
-	type entry struct {
-		te  pareto.TE
-		idx uint64
-		v   T
-	}
+	type ref struct{ part, i int } // a survivor's place in parts
 	total := 0
 	for _, p := range parts {
 		if len(p.TEs) != len(p.Points) || len(p.Indices) != len(p.Points) {
@@ -172,19 +144,25 @@ func MergeShardFrontiers[T any](parts []ShardFrontier[T]) (ShardFrontier[T], err
 		}
 		total += len(p.Points)
 	}
-	entries := make([]entry, 0, total)
-	for _, p := range parts {
+	refs := make([]ref, 0, total)
+	for pi, p := range parts {
 		for i := range p.Points {
-			entries = append(entries, entry{te: p.TEs[i], idx: p.Indices[i], v: p.Points[i]})
+			refs = append(refs, ref{pi, i})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
-	var tr pareto.TrackedIndexed[T] // inputs are already owned copies: no Clone
-	for _, e := range entries {
-		if _, err := tr.Insert(pareto.TE{Time: e.te.Time, Energy: e.te.Energy}, e.idx, e.v); err != nil {
+	idx := func(r ref) uint64 { return parts[r.part].Indices[r.i] }
+	sort.Slice(refs, func(i, j int) bool { return idx(refs[i]) < idx(refs[j]) })
+	var tr pareto.TrackedIndexed[ref]
+	for _, r := range refs {
+		te := parts[r.part].TEs[r.i]
+		if _, err := tr.Insert(pareto.TE{Time: te.Time, Energy: te.Energy}, idx(r), r); err != nil {
 			return ShardFrontier[T]{}, err
 		}
 	}
-	pts, tes, idxs := tr.Frontier()
+	kept, tes, idxs := tr.Frontier()
+	pts := slices.Grow([]T(nil), len(kept))
+	for _, r := range kept {
+		pts = append(pts, parts[r.part].Points[r.i])
+	}
 	return ShardFrontier[T]{Points: pts, TEs: tes, Indices: idxs}, nil
 }

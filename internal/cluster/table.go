@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"heteromix/internal/hwsim"
-	"heteromix/internal/pareto"
 )
 
 // Table is the exported, reusable form of the evaluation-kernel layer
@@ -74,7 +73,7 @@ func (t *Table) Evaluate(cfg Configuration, w float64) (Point, error) {
 			return Point{}, fmt.Errorf("cluster: %v is not a configuration of %s",
 				cfg.ARM.Config, t.space.ARM.Spec.Name)
 		}
-		a = t.arm[i].option(cfg.ARM.Nodes)
+		a = t.arm[i].option(cfg.ARM.Nodes, t.switchW)
 	}
 	if cfg.AMD.Nodes > 0 {
 		i, ok := t.amdIdx[cfg.AMD.Config]
@@ -82,12 +81,11 @@ func (t *Table) Evaluate(cfg Configuration, w float64) (Point, error) {
 			return Point{}, fmt.Errorf("cluster: %v is not a configuration of %s",
 				cfg.AMD.Config, t.space.AMD.Spec.Name)
 		}
-		d = t.amd[i].option(cfg.AMD.Nodes)
+		d = t.amd[i].option(cfg.AMD.Nodes, 0)
 	}
 	sel := [2]*genOption{&a, &d}
-	switchW := [2]float64{t.switchW, 0}
 	var work [2]float64
-	tt, e, _ := eval(sel[:], switchW[:], w, work[:], nil, nil)
+	tt, e, _ := eval(sel[:], w, work[:], nil, nil)
 	return pairPoint(&sel, &work, tt, e), nil
 }
 
@@ -119,13 +117,4 @@ func (t *Table) ForEach(maxARM, maxAMD int, w float64, yield func(Point) bool) e
 	}
 	t.view(maxARM, maxAMD).walk(w, yield)
 	return nil
-}
-
-// Frontier enumerates the bounded space and returns only its
-// Pareto-optimal points, exactly as FrontierOf does but off the
-// precomputed table.
-func (t *Table) Frontier(maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, error) {
-	var f frontier[Point]
-	err := t.ForEach(maxARM, maxAMD, w, func(p Point) bool { return f.ok(f.tr.Insert(p.te(), p)) })
-	return f.result(err)
 }

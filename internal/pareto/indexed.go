@@ -1,24 +1,27 @@
 package pareto
 
-import "sort"
-
-// TrackedIndexed is Tracked with an order-independent duplicate rule:
-// alongside each retained payload it carries the point's index in some
-// canonical enumeration order, and among exact (time, energy)
-// duplicates it keeps the smallest-indexed offer no matter the order
-// offers arrive. Tracked's first-offered-wins rule equals this only
-// when points are offered in canonical order; a sharded walker visits
-// its slice in permuted order, so it needs the index rule for its
-// partial frontier — and a merge of partial frontiers needs it again —
-// to land bit-identical to the serial walk.
+// TrackedIndexed pairs an OnlineFrontier with a payload slice that
+// mirrors every splice, so streaming consumers can keep the full
+// configuration (not just its TE projection) for exactly the points
+// currently on the frontier. Alongside each retained payload it carries
+// the point's index in some canonical enumeration order, and among exact
+// (time, energy) duplicates it keeps the smallest-indexed offer no
+// matter the order offers arrive. A walk that offers its points in
+// ascending index therefore gets first-offered-wins, the rule of
+// OnlineFrontier; a sharded walker visits its slice in permuted order,
+// and the index rule is what lets its partial frontier — and a merge of
+// partial frontiers — land bit-identical to the serial walk. The zero
+// value is ready for use.
 type TrackedIndexed[T any] struct {
-	// Clone, as in Tracked, copies a value out of a producer's scratch
-	// buffer at the moment it is retained.
+	// Clone, when non-nil, is applied to a value at the moment it is
+	// retained on the frontier. Producers that stream points through
+	// reused scratch buffers set it so only the few retained points are
+	// ever copied out, not the full space.
 	Clone func(T) T
 
+	// f's entries carry their canonical index in TE.Index.
 	f       OnlineFrontier
 	payload []T
-	index   []uint64
 }
 
 // Insert offers (te, v) carrying canonical index idx. When te joins the
@@ -28,7 +31,8 @@ type TrackedIndexed[T any] struct {
 // frontier's (time, energy) sequence is unchanged, so added stays
 // false.
 func (t *TrackedIndexed[T]) Insert(te TE, idx uint64, v T) (added bool, err error) {
-	pos, removed, added, err := t.f.Insert(te)
+	te.Index = int(idx)
+	pos, removed, added, err := t.f.insert(te)
 	if err != nil {
 		return false, err
 	}
@@ -39,29 +43,25 @@ func (t *TrackedIndexed[T]) Insert(te TE, idx uint64, v T) (added bool, err erro
 		if removed > 0 {
 			t.payload[pos] = v
 			t.payload = append(t.payload[:pos+1], t.payload[pos+removed:]...)
-			t.index[pos] = idx
-			t.index = append(t.index[:pos+1], t.index[pos+removed:]...)
 		} else {
 			var zero T
 			t.payload = append(t.payload, zero)
 			copy(t.payload[pos+1:], t.payload[pos:])
 			t.payload[pos] = v
-			t.index = append(t.index, 0)
-			copy(t.index[pos+1:], t.index[pos:])
-			t.index[pos] = idx
 		}
 		return true, nil
 	}
 	// Rejected offers are usually dominated and cost nothing more; only
 	// an exact duplicate of a retained point can displace it, and only
-	// toward a smaller canonical index.
-	p := sort.Search(len(t.f.pts), func(i int) bool { return t.f.pts[i].Time >= te.Time })
-	if p < len(t.f.pts) && t.f.pts[p].Time == te.Time && t.f.pts[p].Energy == te.Energy && idx < t.index[p] {
+	// toward a smaller canonical index. insert reports where that
+	// duplicate would sit.
+	pts := t.f.pts
+	if pos < len(pts) && pts[pos].Time == te.Time && pts[pos].Energy == te.Energy && idx < uint64(pts[pos].Index) {
 		if t.Clone != nil {
 			v = t.Clone(v)
 		}
-		t.payload[p] = v
-		t.index[p] = idx
+		t.payload[pos] = v
+		pts[pos].Index = te.Index
 	}
 	return false, nil
 }
@@ -70,14 +70,17 @@ func (t *TrackedIndexed[T]) Insert(te TE, idx uint64, v T) (added bool, err erro
 func (t *TrackedIndexed[T]) Len() int { return t.f.Len() }
 
 // Frontier returns the retained payloads, their TEs (time-ascending,
-// Index rewritten to the payload position, as in Tracked) and each
-// point's canonical enumeration index.
+// with each Index rewritten to the payload's position) and each point's
+// canonical enumeration index.
 func (t *TrackedIndexed[T]) Frontier() ([]T, []TE, []uint64) {
 	tes := t.f.Frontier()
+	var idxs []uint64
+	if len(tes) > 0 {
+		idxs = make([]uint64, len(tes))
+	}
 	for i := range tes {
+		idxs[i] = uint64(tes[i].Index)
 		tes[i].Index = i
 	}
-	return append([]T(nil), t.payload...),
-		tes,
-		append([]uint64(nil), t.index...)
+	return append([]T(nil), t.payload...), tes, idxs
 }

@@ -88,6 +88,17 @@ type OnlineFrontier struct {
 // frontier is unchanged. Points with non-finite or non-positive
 // coordinates are an error, as in Frontier.
 func (f *OnlineFrontier) Insert(p TE) (pos, removed int, added bool, err error) {
+	pos, removed, added, err = f.insert(p)
+	if !added {
+		pos = 0
+	}
+	return pos, removed, added, err
+}
+
+// insert is Insert, except that a rejected offer still reports pos: the
+// first entry no faster than p, where an exact duplicate of p sits if
+// the frontier holds one.
+func (f *OnlineFrontier) insert(p TE) (pos, removed int, added bool, err error) {
 	if !(p.Time > 0) || !(p.Energy > 0) ||
 		math.IsInf(p.Time, 0) || math.IsInf(p.Energy, 0) {
 		return 0, 0, false, fmt.Errorf("pareto: invalid point (%v, %v)", p.Time, p.Energy)
@@ -96,12 +107,12 @@ func (f *OnlineFrontier) Insert(p TE) (pos, removed int, added bool, err error) 
 	// The predecessor is strictly faster; if it is also no more expensive
 	// it dominates p.
 	if pos > 0 && f.pts[pos-1].Energy <= p.Energy {
-		return 0, 0, false, nil
+		return pos, 0, false, nil
 	}
 	// An equal-time entry that is at least as cheap covers p (including
 	// the exact-duplicate case, where the first-offered point is kept).
 	if pos < len(f.pts) && f.pts[pos].Time == p.Time && f.pts[pos].Energy <= p.Energy {
-		return 0, 0, false, nil
+		return pos, 0, false, nil
 	}
 	// Entries from pos on are no faster than p; those at least as
 	// expensive are now dominated. They form a contiguous run because

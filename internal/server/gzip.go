@@ -1,7 +1,7 @@
 package server
 
 // Pooled gzip for the large response paths. Buffered enumeration
-// bodies compress at write time — the cache keeps the uncompressed
+// bodies compress at write time — the cache hands back the uncompressed
 // bytes, so one cached entry serves both encodings — and streamed
 // responses interpose the same pooled writer between the chunk buffer
 // and the connection, flushing a gzip frame at every chunk boundary so

@@ -10,6 +10,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -102,8 +103,8 @@ func badRequestf(format string, args ...any) error {
 
 // replyError maps a handler error to a status: validation failures are
 // 400, a profile-version conflict 409 (retryable: the caller re-reads
-// the active version), an open circuit breaker or a timeout 503,
-// anything else 500.
+// the active version), an open circuit breaker, a timeout or a client
+// cancellation 503, anything else 500.
 func replyError(w http.ResponseWriter, r *http.Request, err error) {
 	var br badRequest
 	var pc errProfileConflict
@@ -120,6 +121,11 @@ func replyError(w http.ResponseWriter, r *http.Request, err error) {
 		// server bug, so it maps to 503 too.
 		w.Header().Set("Retry-After", shedRetryAfter())
 		writeError(w, http.StatusServiceUnavailable, "temporarily unavailable: %v", err)
+	case errors.Is(r.Context().Err(), context.Canceled):
+		// The client hung up (a cancelled hedge loser, say): no one reads
+		// this answer, and it is neither a timeout nor an error.
+		markCancelled(r)
+		writeError(w, http.StatusServiceUnavailable, "request cancelled: %v", err)
 	case r.Context().Err() != nil:
 		writeError(w, http.StatusServiceUnavailable, "request timed out: %v", err)
 	default:

@@ -696,10 +696,25 @@ func (s *Server) registerRoutes() {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // statusWriter captures the response code for instrumentation.
+// cancelled is set by replyError when the reply was caused by the
+// client hanging up, which instrument does not count as an error.
 type statusWriter struct {
 	http.ResponseWriter
-	code  int
-	wrote bool
+	code      int
+	wrote     bool
+	cancelled bool
+}
+
+// statusWriterKey carries a request's statusWriter in its context, so
+// replyError can mark it through any writer wrapping in between.
+type statusWriterKey struct{}
+
+// markCancelled notes on r's statusWriter that its reply answers a
+// client cancellation.
+func markCancelled(r *http.Request) {
+	if sw, ok := r.Context().Value(statusWriterKey{}).(*statusWriter); ok {
+		sw.cancelled = true
+	}
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -786,15 +801,17 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 				s.deadlineCapped.Inc()
 			}
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		ctx, cancel := context.WithTimeout(context.WithValue(r.Context(), statusWriterKey{}, sw), timeout)
 		defer cancel()
 		r = r.WithContext(ctx)
 
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		startAt := time.Now()
 		inner.ServeHTTP(sw, r)
 		em.latency.Observe(time.Since(startAt).Seconds())
-		if sw.code >= 400 {
+		// A reply to a client that hung up, such as a cancelled hedge
+		// loser, is not an error.
+		if sw.code >= 400 && !sw.cancelled {
 			em.errors.Inc()
 		}
 		// A client that hung up (context.Canceled), such as a cancelled

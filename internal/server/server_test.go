@@ -514,10 +514,44 @@ func TestRequestTimeoutAnswers503(t *testing.T) {
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/enumerate",
 		strings.NewReader(`{"workload":"ep","max_arm":3,"max_amd":3}`)).WithContext(ctx)
-	c.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	crr := httptest.NewRecorder()
+	c.Handler().ServeHTTP(crr, req)
 	if got := c.reg.Snapshot()["heteromixd_timeouts_total"]; got != 0 {
 		t.Errorf("cancelled request: timeouts counter = %v, want 0", got)
 	}
+	if got, ok := c.reg.Snapshot()[`heteromixd_request_errors_total{endpoint="enumerate"}`]; !ok || got != 0 {
+		t.Errorf("cancelled request: errors counter = %v (present %v), want 0", got, ok)
+	}
+	if strings.Contains(crr.Body.String(), "timed out") {
+		t.Errorf("cancelled request answered %q", crr.Body)
+	}
+
+	// A genuine 400 whose client hangs up right after the answer was
+	// written still counts as an error.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	req = httptest.NewRequest(http.MethodPost, "/v1/enumerate",
+		strings.NewReader(`{"workload":"nope"}`)).WithContext(ctx)
+	brr := &cancelOnHeader{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+	c.Handler().ServeHTTP(brr, req)
+	if brr.Code != http.StatusBadRequest || ctx.Err() == nil {
+		t.Fatalf("bad request: status %d, context %v; want 400 then cancelled", brr.Code, ctx.Err())
+	}
+	if got := c.reg.Snapshot()[`heteromixd_request_errors_total{endpoint="enumerate"}`]; got != 1 {
+		t.Errorf("400 then cancel: errors counter = %v, want 1", got)
+	}
+}
+
+// cancelOnHeader cancels the request's context as soon as a status is
+// written: a client that hangs up right after its answer.
+type cancelOnHeader struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (w *cancelOnHeader) WriteHeader(code int) {
+	w.ResponseRecorder.WriteHeader(code)
+	w.cancel()
 }
 
 // blockingSource delegates to an inner ModelSource but runs a hook

@@ -11,7 +11,7 @@
 // shard — and each shard runs its own LRU list, so eviction decisions
 // are shard-local and O(1). The shard count follows from the capacity
 // (see New): a large cache spreads over 16 shards, a small one is a
-// single exact LRU.
+// single exact LRU. Large byte values are held deflated (packed.go).
 package servercache
 
 import (
@@ -44,8 +44,9 @@ type shard struct {
 	bytes int64
 }
 
-// lruEntry is a recency-list payload. storedAt supports DoFresh's
-// staleness checks; size is the entry's sizeOf, fixed at insert.
+// lruEntry is a recency-list payload. val is the held form (see
+// pack); storedAt supports DoFresh's staleness checks; size is the
+// entry's sizeOf, fixed at insert.
 type lruEntry struct {
 	key      string
 	val      any
@@ -76,7 +77,8 @@ type Stats struct {
 	// Entries is the current number of cached values.
 	Entries int
 	// Bytes is the summed size of cached values (see sizeOf): response
-	// bodies count their length and compiled tables their SizeBytes.
+	// bodies count their raw length, deflated or not, and compiled
+	// tables their SizeBytes.
 	Bytes int64
 }
 
@@ -174,17 +176,19 @@ func (c *Cache) shardFor(key string) *shard {
 func (c *Cache) lookup(key string, maxAge time.Duration, count bool) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
 		e := el.Value.(*lruEntry)
 		if maxAge <= 0 || c.now().Sub(e.storedAt) < maxAge {
 			s.ll.MoveToFront(el)
+			val := e.val
+			s.mu.Unlock()
 			if count {
 				c.hits.Add(1)
 			}
-			return e.val, true
+			return unpack(val), true
 		}
 	}
+	s.mu.Unlock()
 	if count {
 		c.misses.Add(1)
 	}
@@ -200,6 +204,7 @@ func (c *Cache) Get(key string) (any, bool) { return c.lookup(key, 0, true) }
 func (c *Cache) Add(key string, val any) {
 	s := c.shardFor(key)
 	size := sizeOf(val)
+	val = pack(val)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
@@ -255,7 +260,8 @@ func (c *Cache) MaxBytes() int64 { return c.maxBytes.Load() }
 // Capacity returns the entry cap New was given.
 func (c *Cache) Capacity() int { return c.capacity }
 
-// Entry is one cached (key, value) pair as exported by Hottest.
+// Entry is one cached (key, value) pair as exported by Hottest; Val is
+// the raw value, inflated if the cache held it deflated.
 type Entry struct {
 	Key string
 	Val any
@@ -267,7 +273,8 @@ type Entry struct {
 // front-to-back: the i-th round takes each shard's i-th most recent
 // entry. A single-shard cache reports its exact recency order. Hottest
 // does not touch recency or the hit/miss counters: snapshotting the
-// cache must not reorder it.
+// cache must not reorder it. Deflated values are inflated for the
+// returned entries only, after the shard locks are released.
 func (c *Cache) Hottest(limit int) []Entry {
 	perShard := make([][]Entry, len(c.shards))
 	total := 0
@@ -290,7 +297,7 @@ func (c *Cache) Hottest(limit int) []Entry {
 	for round := 0; len(out) < limit; round++ {
 		for _, list := range perShard {
 			if round < len(list) {
-				out = append(out, list[round])
+				out = append(out, Entry{Key: list[round].Key, Val: unpack(list[round].Val)})
 				if len(out) == limit {
 					break
 				}
