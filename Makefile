@@ -88,9 +88,10 @@ bench:
 # (384,344 points): serial materialization, domination-pruned, streaming
 # frontier, and the production pruned+parallel+frontier path that must
 # stay ≥20× under the seed serial numbers (see README Performance). The
-# allocation gate holds the frontier walks (pruned 4/4/4 N-type, 16x16
-# two-type) to their measured allocs per walk: a walk that copies a
-# point per frontier insert fails it.
+# allocation gate holds the frontier walks (pruned 4/4/4 N-type, its
+# shard 0/2 as a replica walks it, 16x16 two-type) to their measured
+# allocs per walk: a walk that copies a point per frontier insert fails
+# it.
 bench-generic:
 	$(GO) test ./internal/cluster -count=1 \
 		-run 'TestFrontierAllocGate' -v

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"slices"
@@ -163,16 +164,38 @@ func (g *GenericTable) FrontierParallel(w float64, workers int) ([]GenericPoint,
 // toward the smallest serial index (not first-offered: the shard walk
 // order is permuted), so shard frontiers merge deterministically.
 func (g *GenericTable) FrontierShard(w float64, sh shard.Shard) (ShardFrontier[GenericPoint], error) {
+	return g.FrontierShardContext(context.Background(), w, sh)
+}
+
+// shardPollEvery is how many points a shard walk scores between
+// context polls: a poll costs next to nothing beside this many Feistel
+// applications, and a cancelled walk stops within well under a
+// millisecond.
+const shardPollEvery = 1 << 12
+
+// FrontierShardContext is FrontierShard that stops early, returning
+// ctx's error, once ctx is done. It polls ctx before its first point
+// and then every shardPollEvery points, so a walk whose context was
+// cancelled before it started scores nothing.
+func (g *GenericTable) FrontierShardContext(ctx context.Context, w float64, sh shard.Shard) (ShardFrontier[GenericPoint], error) {
 	if err := g.checkShard(w, sh); err != nil {
 		return ShardFrontier[GenericPoint]{}, err
 	}
 	c := g.t.newCursor()
 	var f indexFrontier
+	n := 0
 	forShard(g.t.size, sh, func(idx uint64) bool {
+		if n%shardPollEvery == 0 && ctx.Err() != nil {
+			return false
+		}
+		n++
 		g.t.seek(c.pick, c.sel, idx+1)
 		tt, e, _ := eval(c.sel, w, nil, nil, nil)
 		return f.offer(idx, tt, e)
 	})
+	if err := ctx.Err(); err != nil {
+		return ShardFrontier[GenericPoint]{}, err
+	}
 	return g.decode(c, &f, w)
 }
 
@@ -214,20 +237,4 @@ func FrontierOf(s Space, maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, e
 		return nil, nil, err
 	}
 	return v.frontier(w)
-}
-
-// FrontierShard is the two-type partial frontier with serial indices,
-// duplicate-resolved toward the smallest index like the generic form.
-func (t *Table) FrontierShard(maxARM, maxAMD int, w float64, sh shard.Shard) (ShardFrontier[Point], error) {
-	if err := checkShardBounds(maxARM, maxAMD, w, sh); err != nil {
-		return ShardFrontier[Point]{}, err
-	}
-	v := t.view(maxARM, maxAMD)
-	var f indexFrontier
-	forShard(v.size, sh, func(idx uint64) bool {
-		sel := v.seek(idx)
-		tt, e, _ := eval(sel[:], w, nil, nil, nil)
-		return f.offer(idx, tt, e)
-	})
-	return survivors(&f, func(idx uint64) Point { return v.pointAt(idx, w) })
 }

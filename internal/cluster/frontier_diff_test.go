@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,10 +16,10 @@ import (
 )
 
 // The frontier oracle: seeded random specs, every frontier path held bit
-// for bit against the materializing walk (GenericTable.Enumerate,
-// Table.ForEach) plus a batch pareto.Frontier whose exact duplicates
-// resolve to the smallest enumeration index — the serial walk's
-// first-offered-wins. The reference is the materialized walk, not
+// for bit against the materializing walk (EnumerateGroups,
+// Table.ForEach, which Space.Enumerate must match) plus a batch
+// pareto.Frontier whose exact duplicates resolve to the smallest
+// enumeration index — the serial walk's first-offered-wins. The reference is the materialized walk, not
 // cluster.Evaluate, whose energy differs by a few ULPs. A failing case
 // names its seed and spec, so it replays.
 
@@ -174,6 +177,8 @@ func drawTypes(t *testing.T, rng *rand.Rand, prune bool) ([]GroupType, string) {
 func TestFrontierDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(diffSeed, 0))
 	workers := []int{1, 2, 3, runtime.GOMAXPROCS(0) + 1}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for c := 0; c < 32; c++ {
 		prune := c%2 == 1
 		types, desc := drawTypes(t, rng, prune)
@@ -185,7 +190,7 @@ func TestFrontierDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all, err := g.Enumerate(w)
+			all, err := EnumerateGroups(types, w)
 			if g.Size() == 0 {
 				// The all-absent space: every path refuses it.
 				if _, _, err := g.Frontier(w); err == nil {
@@ -221,11 +226,23 @@ func TestFrontierDifferential(t *testing.T) {
 				}
 				checkGeneric(t, fmt.Sprintf("FrontierParallel(%d)", k), ref, all, pts, tes, nil)
 			}
+			pts, tes, err = GenericFrontierOfParallel(types, w, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGeneric(t, "GenericFrontierOfParallel", ref, all, pts, tes, nil)
 			for n := 1; n <= 7; n++ {
 				parts := make([]ShardFrontier[GenericPoint], n)
 				for i := range parts {
-					if parts[i], err = g.FrontierShard(w, shard.Shard{Index: i, Count: n}); err != nil {
+					sh := shard.Shard{Index: i, Count: n}
+					if parts[i], err = g.FrontierShardContext(context.Background(), w, sh); err != nil {
 						t.Fatal(err)
+					}
+					if sf, err := g.FrontierShard(w, sh); err != nil || !reflect.DeepEqual(sf, parts[i]) {
+						t.Fatalf("shard %v: FrontierShard differs from FrontierShardContext (err %v)", sh, err)
+					}
+					if _, err := g.FrontierShardContext(cancelled, w, sh); !errors.Is(err, context.Canceled) {
+						t.Fatalf("shard %v: cancelled walk returned %v, want context.Canceled", sh, err)
 					}
 				}
 				m, err := MergeShardFrontiers(parts)
@@ -262,6 +279,18 @@ func TestFrontierDifferential(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			enumerated, err := s.Enumerate(maxARM, maxAMD, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(enumerated) != len(all) {
+				t.Fatalf("Space.Enumerate: %d points, Table.ForEach %d", len(enumerated), len(all))
+			}
+			for i := range all {
+				if !pointBitsEqual(enumerated[i], all[i]) {
+					t.Fatalf("Space.Enumerate: point %d = %+v, Table.ForEach has %+v", i, enumerated[i], all[i])
+				}
+			}
 			tes := make([]pareto.TE, len(all))
 			for i, p := range all {
 				tes[i] = pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy), Index: i}
@@ -278,19 +307,6 @@ func TestFrontierDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkPoints(t, "FrontierOf", ref, all, pts, got, nil)
-			for n := 1; n <= 7; n++ {
-				parts := make([]ShardFrontier[Point], n)
-				for i := range parts {
-					if parts[i], err = tbl.FrontierShard(maxARM, maxAMD, w, shard.Shard{Index: i, Count: n}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				m, err := MergeShardFrontiers(parts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkPoints(t, fmt.Sprintf("%d shards", n), ref, all, m.Points, m.TEs, m.Indices)
-			}
 		})
 	}
 }

@@ -49,17 +49,6 @@ type GenericPoint struct {
 	Work []float64
 }
 
-// Clone deep-copies the point. Streaming consumers that retain a point
-// past its yield call must Clone it: the streamed point's slices are
-// scratch buffers reused for the next point.
-func (p GenericPoint) Clone() GenericPoint {
-	q := p
-	q.Counts = append([]int(nil), p.Counts...)
-	q.Configs = append([]hwsim.Config(nil), p.Configs...)
-	q.Work = append([]float64(nil), p.Work...)
-	return q
-}
-
 // typeName labels type i, falling back to "type<i>" beyond names.
 func typeName(names []string, i int) string {
 	if i < len(names) {
@@ -155,7 +144,7 @@ func EnumerateGroups(types []GroupType, w float64) ([]GenericPoint, error) {
 // EnumerateGroupsFunc streams every point of the generic space to
 // yield, in EnumerateGroups's order, without materializing anything.
 // The yielded point's slices are scratch buffers valid only during the
-// call — Clone to retain. Returning false from yield stops the
+// call — copy them (or take its Summary) to retain. Returning false from yield stops the
 // enumeration early (not an error).
 func EnumerateGroupsFunc(types []GroupType, w float64, yield func(GenericPoint) bool) error {
 	g, err := NewGenericTable(types)

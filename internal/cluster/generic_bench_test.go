@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"heteromix/internal/shard"
@@ -183,8 +184,10 @@ func BenchmarkTableFrontier16x16(b *testing.B) {
 // TestFrontierAllocGate bounds the frontier walks' allocations: a walk
 // keeps only indices and decodes its survivors into flat backings, so
 // its count grows with the frontier's log size, never with its inserts.
-// The bounds are the measured counts (Go 1.24, linux/amd64); cloning a
-// point per frontier insert costs hundreds.
+// The shard walk is what a fleet replica runs per request. The bounds
+// are the measured counts (Go 1.24, linux/amd64: 16, 15 and 12);
+// cloning a point per frontier insert costs far more (about 115 for the
+// shard walk).
 func TestFrontierAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race adds allocations; the gate counts a plain build's")
@@ -204,9 +207,17 @@ func TestFrontierAllocGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocs per frontier: pruned 4/4/4 generic %v, 16x16 two-type %v", generic, two)
+	shardWalk := testing.AllocsPerRun(5, func() {
+		if _, err := g.FrontierShardContext(context.Background(), 50e6, shard.Shard{Index: 0, Count: 2}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per frontier: pruned 4/4/4 generic %v, its shard 0/2 %v, 16x16 two-type %v", generic, shardWalk, two)
 	if generic > 16 {
 		t.Errorf("GenericTable.Frontier allocated %v times per walk, gate 16", generic)
+	}
+	if shardWalk > 16 {
+		t.Errorf("GenericTable.FrontierShardContext allocated %v times per walk, gate 16", shardWalk)
 	}
 	if two > 12 {
 		t.Errorf("Table.Frontier allocated %v times per walk, gate 12", two)

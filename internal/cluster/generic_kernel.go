@@ -275,7 +275,7 @@ func (c *genCursor) load(w float64) bool {
 // forEach streams every point of the space to yield in enumeration
 // order (type 0's options slowest, the last type's fastest — the order
 // EnumerateGroups materializes). The yielded point is c's scratch:
-// valid only during the call, Clone to retain. Reports whether the
+// valid only during the call. Reports whether the
 // walk ran to completion.
 func (t *genericTable) forEach(c *genCursor, w float64, yield func(GenericPoint) bool) bool {
 	for ok := t.first(c.pick, c.sel, c.lo, t.radix); ok; ok = t.next(c.pick, c.sel, c.lo, t.radix) {

@@ -69,7 +69,7 @@ func (g *GenericTable) check(w float64) error {
 // ForEach streams every point of the space for w work units to yield,
 // in EnumerateGroups's order, without materializing anything. The
 // yielded point's slices are scratch buffers valid only during the
-// call — Clone to retain. Returning false from yield stops the walk
+// call — copy them (or take its Summary) to retain. Returning false from yield stops the walk
 // early (not an error).
 func (g *GenericTable) ForEach(w float64, yield func(GenericPoint) bool) error {
 	if err := g.check(w); err != nil {

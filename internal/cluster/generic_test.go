@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"heteromix/internal/hwsim"
@@ -297,51 +298,6 @@ func TestGenericParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// The streamed online frontier equals the frontier computed from the
-// fully materialized space, and the parallel chunk-merged frontier
-// equals the serial one — all bit-identical.
-func TestGenericFrontierMatchesMaterialized(t *testing.T) {
-	types := triTypes(t, 2, 2, 2)
-	pts, err := EnumerateGroups(types, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := pareto.Frontier(genericTE(pts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpts, ftes, err := GenericFrontierOf(types, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ftes) != len(want) {
-		t.Fatalf("streamed frontier has %d points, want %d", len(ftes), len(want))
-	}
-	for i := range want {
-		if ftes[i].Time != want[i].Time || ftes[i].Energy != want[i].Energy {
-			t.Fatalf("frontier point %d = (%v, %v), want (%v, %v)",
-				i, ftes[i].Time, ftes[i].Energy, want[i].Time, want[i].Energy)
-		}
-		if !genericPointsEqual(fpts[ftes[i].Index], pts[want[i].Index]) {
-			t.Fatalf("frontier payload %d = %+v, want %+v", i, fpts[ftes[i].Index], pts[want[i].Index])
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		ppts, ptes, err := GenericFrontierOfParallel(types, 50e6, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ptes) != len(ftes) {
-			t.Fatalf("workers=%d: parallel frontier has %d points, want %d", workers, len(ptes), len(ftes))
-		}
-		for i := range ftes {
-			if ptes[i] != ftes[i] || !genericPointsEqual(ppts[i], fpts[i]) {
-				t.Fatalf("workers=%d: parallel frontier point %d differs", workers, i)
-			}
-		}
-	}
-}
-
 // The domination-pruned generic space has exactly the full space's
 // Pareto frontier — the proof-by-test behind PruneGroupTypes.
 func TestGenericPrunedFrontierEqualsFull(t *testing.T) {
@@ -377,40 +333,43 @@ func TestGenericPrunedFrontierEqualsFull(t *testing.T) {
 	}
 }
 
+// TestGenericPointCloneAndSummary: a summary of the streamed scratch
+// point is a deep copy, which the rest of the walk leaves intact, and
+// it flattens the point faithfully.
 func TestGenericPointCloneAndSummary(t *testing.T) {
 	types := triTypes(t, 1, 1, 1)
-	var clone GenericPoint
-	err := EnumerateGroupsFunc(types, 50e6, func(p GenericPoint) bool {
-		// Keep a deep copy of the first tri-type mix; the scratch point
-		// keeps mutating afterwards.
+	names := []string{"a9", "a15", "k10"}
+	all, err := EnumerateGroups(types, 50e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s GenericPointSummary
+	idx, n := -1, 0
+	err = EnumerateGroupsFunc(types, 50e6, func(p GenericPoint) bool {
+		// Summarize the first tri-type mix; the scratch point keeps
+		// mutating afterwards.
 		total := 0
-		for _, n := range p.Counts {
-			if n > 0 {
+		for _, c := range p.Counts {
+			if c > 0 {
 				total++
 			}
 		}
-		if total == 3 {
-			clone = p.Clone()
-			return false
+		if idx < 0 && total == 3 {
+			s, idx = p.Summary(names), n
 		}
+		n++
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clone.Counts == nil {
+	if idx < 0 {
 		t.Fatal("no tri-type mix found")
 	}
-	want := clone.Clone()
-	// Re-running the stream to completion must not disturb the clone.
-	if err := EnumerateGroupsFunc(types, 50e6, func(GenericPoint) bool { return true }); err != nil {
-		t.Fatal(err)
+	clone := all[idx]
+	if !reflect.DeepEqual(s, clone.Summary(names)) {
+		t.Fatal("the summary shares storage with the scratch point")
 	}
-	if !genericPointsEqual(clone, want) {
-		t.Fatal("Clone shares storage with the scratch point")
-	}
-
-	s := clone.Summary([]string{"a9", "a15", "k10"})
 	if len(s.Groups) != 3 {
 		t.Fatalf("summary has %d groups, want 3", len(s.Groups))
 	}
@@ -427,7 +386,7 @@ func TestGenericPointCloneAndSummary(t *testing.T) {
 	if s.TimeSeconds != float64(clone.Time) || s.EnergyJoules != float64(clone.Energy) {
 		t.Fatal("summary scalars differ from the point")
 	}
-	if s.Label != clone.Label([]string{"a9", "a15", "k10"}) {
+	if s.Label != clone.Label(names) {
 		t.Fatalf("summary label %q", s.Label)
 	}
 }

@@ -190,7 +190,7 @@ func (v *pairView) collect(w float64) []Point {
 }
 
 // pointAt evaluates the point at index idx of the paper's order, the
-// random access the parallel, shard and frontier-decode paths use.
+// random access the parallel and frontier-decode paths use.
 func (v *pairView) pointAt(idx uint64, w float64) Point {
 	sel := v.seek(idx)
 	var work [2]float64

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"heteromix/internal/hwsim"
-	"heteromix/internal/pareto"
 )
 
 // relClose reports |a-b| <= tol * max(|a|,|b|).
@@ -112,57 +111,6 @@ func TestEnumerateFuncMatchesEnumerate(t *testing.T) {
 	}
 	if err := s.EnumerateFunc(2, 2, -1, func(Point) bool { return true }); err == nil {
 		t.Error("negative work should error")
-	}
-}
-
-// Property: the streaming frontier equals pareto.Frontier of the
-// materialized space, and the returned points carry the frontier's
-// (time, energy) values.
-func TestFrontierOfMatchesBatchFrontier(t *testing.T) {
-	s := memcachedSpace(t)
-	f := func(a, d uint8) bool {
-		maxARM := 1 + int(a)%5
-		maxAMD := 1 + int(d)%5
-		w := 50000.0
-		pts, tes, err := FrontierOf(s, maxARM, maxAMD, w)
-		if err != nil {
-			t.Logf("FrontierOf: %v", err)
-			return false
-		}
-		all, err := s.Enumerate(maxARM, maxAMD, w)
-		if err != nil {
-			return false
-		}
-		allTE := make([]pareto.TE, len(all))
-		for i, p := range all {
-			allTE[i] = pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy), Index: i}
-		}
-		want, err := pareto.Frontier(allTE)
-		if err != nil {
-			return false
-		}
-		if len(tes) != len(want) || len(pts) != len(want) {
-			t.Logf("frontier sizes: stream %d/%d points, batch %d", len(tes), len(pts), len(want))
-			return false
-		}
-		for i := range want {
-			if tes[i].Time != want[i].Time || tes[i].Energy != want[i].Energy {
-				t.Logf("frontier %d: (%v,%v) vs (%v,%v)", i,
-					tes[i].Time, tes[i].Energy, want[i].Time, want[i].Energy)
-				return false
-			}
-			if tes[i].Index != i {
-				return false
-			}
-			if float64(pts[i].Time) != want[i].Time || float64(pts[i].Energy) != want[i].Energy {
-				t.Logf("payload %d out of sync with frontier", i)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -7,8 +7,9 @@ package cluster
 // positions j ≡ i (mod n), a deterministic, coordination-free, exact
 // partition whose cardinalities differ by at most one — and, because
 // the permutation shuffles uniformly, whose *work* is balanced even
-// when the enumeration order has structure (the two-type walk, for
-// instance, puts all mixed configurations before the homogeneous ones).
+// when the enumeration order has structure (the mixed-radix walk, for
+// instance, visits the first type's cheap options before its costly
+// ones).
 //
 // Determinism across the permuted walk order rests on one rule: every
 // point carries its index in the *serial* enumeration order, partial
@@ -18,8 +19,8 @@ package cluster
 // Pareto frontier is order-independent up to duplicate resolution, and
 // the serial walk's first-offered-wins is exactly smallest-index-wins,
 // the merged frontier equals the serial frontier bit for bit — TEs and
-// payloads — which TestShardedFrontierBitIdentical pins for 1/2/4/7
-// shards with and without domination pruning.
+// payloads — which TestFrontierDifferential pins for 1..7 shards over
+// random specs, with and without domination pruning.
 
 import (
 	"fmt"
@@ -57,76 +58,6 @@ func (g *GenericTable) checkShard(w float64, sh shard.Shard) error {
 		return err
 	}
 	return sh.Validate()
-}
-
-// checkShardBounds guards a two-type shard walk's parameters.
-func checkShardBounds(maxARM, maxAMD int, w float64, sh shard.Shard) error {
-	if err := checkBounds(maxARM, maxAMD, w); err != nil {
-		return err
-	}
-	return sh.Validate()
-}
-
-// ForEachShard streams shard sh's slice of the space for w work units:
-// the permuted positions j ≡ sh.Index (mod sh.Count), evaluated at
-// their serial index perm(j) and yielded with that index. The yielded
-// point is scratch, as in ForEach; yield returning false stops the walk
-// early (not an error).
-func (g *GenericTable) ForEachShard(w float64, sh shard.Shard, yield func(p GenericPoint, index uint64) bool) error {
-	if err := g.checkShard(w, sh); err != nil {
-		return err
-	}
-	c := g.t.newCursor()
-	forShard(g.t.size, sh, func(idx uint64) bool {
-		// Serial index idx maps to mixed-radix vector idx+1: vector 0 is
-		// the all-absent one, so every vector in [1, size] is a real point
-		// and at cannot report absent here.
-		g.t.at(c, idx+1, w)
-		return yield(c.p, idx)
-	})
-	return nil
-}
-
-// EnumerateGroupsShard materializes shard sh's slice of the generic
-// space in its permuted walk order, returning each point with its
-// serial enumeration index. The union of all sh.Count slices is exactly
-// EnumerateGroups's output (as a set keyed by index).
-func EnumerateGroupsShard(types []GroupType, w float64, sh shard.Shard) ([]GenericPoint, []uint64, error) {
-	g, err := NewGenericTable(types)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := g.checkShard(w, sh); err != nil {
-		return nil, nil, err
-	}
-	if _, err := g.t.intSize(); err != nil {
-		return nil, nil, err
-	}
-	n := int(sh.SliceSize(g.t.size))
-	out := make([]GenericPoint, 0, n)
-	idxs := make([]uint64, 0, n)
-	bk := newGenBacking(n, g.types)
-	err = g.ForEachShard(w, sh, func(p GenericPoint, idx uint64) bool {
-		out = append(out, bk.copy(p))
-		idxs = append(idxs, idx)
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, idxs, nil
-}
-
-// ForEachShard is the two-type equivalent: shard sh's slice of the
-// bounded (maxARM, maxAMD) space, yielded with serial indices in
-// Enumerate's order.
-func (t *Table) ForEachShard(maxARM, maxAMD int, w float64, sh shard.Shard, yield func(p Point, index uint64) bool) error {
-	if err := checkShardBounds(maxARM, maxAMD, w, sh); err != nil {
-		return err
-	}
-	v := t.view(maxARM, maxAMD)
-	forShard(v.size, sh, func(idx uint64) bool { return yield(v.pointAt(idx, w), idx) })
-	return nil
 }
 
 // MergeShardFrontiers merges partial frontiers into the frontier of the

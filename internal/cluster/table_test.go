@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"heteromix/internal/hwsim"
-	"heteromix/internal/shard"
 )
 
 func TestTableEvaluateMatchesSpaceEvaluate(t *testing.T) {
@@ -151,22 +150,10 @@ func TestPaperEnumerationOrder(t *testing.T) {
 		check(fmt.Sprintf("EnumerateMix(%d, %d)", mix[0], mix[1]), got, want)
 	}
 
-	for _, n := range []int{1, 3, 7} {
-		seen := 0
-		for i := 0; i < n; i++ {
-			err := tbl.ForEachShard(maxARM, maxAMD, w, shard.Shard{Index: i, Count: n}, func(p Point, idx uint64) bool {
-				seen++
-				if idx >= uint64(len(pts)) || p != pts[idx] {
-					t.Fatalf("n=%d: shard point at index %d is %v, Enumerate has %v", n, idx, p, pts[min(idx, uint64(len(pts)-1))])
-				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if seen != len(pts) {
-			t.Errorf("n=%d: shards yielded %d points, want %d", n, seen, len(pts))
+	v := tbl.view(maxARM, maxAMD)
+	for idx := range pts {
+		if p := v.pointAt(uint64(idx), w); p != pts[idx] {
+			t.Fatalf("pointAt(%d) = %v, Enumerate has %v", idx, p, pts[idx])
 		}
 	}
 }
@@ -241,32 +228,6 @@ func TestTableForEachMatchesEnumerate(t *testing.T) {
 	}
 	if err := tbl.ForEach(-1, 2, w, func(Point) bool { return true }); err == nil {
 		t.Error("ForEach accepted negative bounds")
-	}
-}
-
-func TestTableFrontierMatchesFrontierOf(t *testing.T) {
-	s := epSpace(t)
-	tbl, err := s.NewTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const w, maxARM, maxAMD = 5e7, 4, 4
-	wantPts, wantTE, err := FrontierOf(s, maxARM, maxAMD, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPts, gotTE, err := tbl.Frontier(maxARM, maxAMD, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotPts) != len(wantPts) || len(gotTE) != len(wantTE) {
-		t.Fatalf("frontier sizes (%d, %d) != (%d, %d)",
-			len(gotPts), len(gotTE), len(wantPts), len(wantTE))
-	}
-	for i := range gotPts {
-		if gotPts[i] != wantPts[i] || gotTE[i] != wantTE[i] {
-			t.Fatalf("frontier point %d differs: %+v vs %+v", i, gotPts[i], wantPts[i])
-		}
 	}
 }
 

@@ -13,12 +13,6 @@ package pareto
 // partial frontiers — land bit-identical to the serial walk. The zero
 // value is ready for use.
 type TrackedIndexed[T any] struct {
-	// Clone, when non-nil, is applied to a value at the moment it is
-	// retained on the frontier. Producers that stream points through
-	// reused scratch buffers set it so only the few retained points are
-	// ever copied out, not the full space.
-	Clone func(T) T
-
 	// f's entries carry their canonical index in TE.Index.
 	f       OnlineFrontier
 	payload []T
@@ -37,9 +31,6 @@ func (t *TrackedIndexed[T]) Insert(te TE, idx uint64, v T) (added bool, err erro
 		return false, err
 	}
 	if added {
-		if t.Clone != nil {
-			v = t.Clone(v)
-		}
 		if removed > 0 {
 			t.payload[pos] = v
 			t.payload = append(t.payload[:pos+1], t.payload[pos+removed:]...)
@@ -57,9 +48,6 @@ func (t *TrackedIndexed[T]) Insert(te TE, idx uint64, v T) (added bool, err erro
 	// duplicate would sit.
 	pts := t.f.pts
 	if pos < len(pts) && pts[pos].Time == te.Time && pts[pos].Energy == te.Energy && idx < uint64(pts[pos].Index) {
-		if t.Clone != nil {
-			v = t.Clone(v)
-		}
 		t.payload[pos] = v
 		pts[pos].Index = te.Index
 	}

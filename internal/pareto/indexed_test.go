@@ -149,26 +149,6 @@ func TestTrackedIndexedDuplicateReplacement(t *testing.T) {
 	}
 }
 
-// TestTrackedIndexedClone: retained and replacement payloads pass
-// through Clone, so scratch-buffer producers are safe.
-func TestTrackedIndexedClone(t *testing.T) {
-	scratch := []int{1}
-	var ti TrackedIndexed[[]int]
-	ti.Clone = func(v []int) []int { return append([]int(nil), v...) }
-	if _, err := ti.Insert(TE{Time: 1, Energy: 1}, 9, scratch); err != nil {
-		t.Fatal(err)
-	}
-	scratch[0] = 42
-	if _, err := ti.Insert(TE{Time: 1, Energy: 1}, 2, scratch); err != nil {
-		t.Fatal(err) // duplicate with smaller index: replacement clones too
-	}
-	scratch[0] = 99
-	pts, _, idxs := ti.Frontier()
-	if pts[0][0] != 42 || idxs[0] != 2 {
-		t.Fatalf("retained %v #%v; scratch mutation leaked", pts[0], idxs[0])
-	}
-}
-
 // TestTrackedIndexedInvalid: invalid points error exactly like
 // OnlineFrontier.
 func TestTrackedIndexedInvalid(t *testing.T) {

@@ -7,7 +7,6 @@ package server
 // rejects absurd spaces with a 400 before any enumeration runs.
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"heteromix/internal/cluster"
 	"heteromix/internal/hwsim"
 	"heteromix/internal/model"
-	"heteromix/internal/pareto"
 	"heteromix/internal/shard"
 	"heteromix/internal/stream"
 )
@@ -353,39 +351,6 @@ func (s *Server) normalizeEnumerateGeneric(req EnumerateGenericRequest) (Enumera
 	return req, plan, nil
 }
 
-// shardFrontier walks this server's slice of the plan's space through
-// an order-independent indexed frontier (duplicates resolve toward the
-// smallest serial index, so the coordinator's merge is deterministic),
-// polling for cancellation at the same coarse interval as every other
-// enumeration walk. walked reports how many points were evaluated.
-func (s *Server) shardFrontier(ctx context.Context, plan genericPlan, req EnumerateGenericRequest) (sf cluster.ShardFrontier[cluster.GenericPoint], walked uint64, err error) {
-	tr := pareto.TrackedIndexed[cluster.GenericPoint]{Clone: cluster.GenericPoint.Clone}
-	n := 0
-	var insErr error
-	err = plan.walk.ForEachShard(req.Work, plan.shard, func(p cluster.GenericPoint, idx uint64) bool {
-		n++
-		if n&0x1fff == 0 && ctx.Err() != nil {
-			return false
-		}
-		if _, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, idx, p); err != nil {
-			insErr = err
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = insErr
-	}
-	if err == nil && ctx.Err() != nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		return sf, 0, err
-	}
-	pts, tes, idxs := tr.Frontier()
-	return cluster.ShardFrontier[cluster.GenericPoint]{Points: pts, TEs: tes, Indices: idxs}, uint64(n), nil
-}
-
 // genericBytes returns the marshaled response for a canonicalized
 // request, with /v1/enumerate's breaker + freshness semantics.
 func (s *Server) genericBytes(r *http.Request, req EnumerateGenericRequest, plan genericPlan) (body []byte, cached, degraded bool, err error) {
@@ -401,56 +366,16 @@ func (s *Server) genericBytes(r *http.Request, req EnumerateGenericRequest, plan
 				SpaceSize:    plan.spaceSize,
 				PrunedSize:   plan.prunedSize,
 				FrontierOnly: req.FrontierOnly,
+				Shard:        req.Shard,
+				Points:       make([]cluster.GenericPointSummary, 0, req.Limit),
 			}
-			if plan.shard.Count > 0 {
-				sf, walked, err := s.shardFrontier(ctx, plan, req)
-				if err != nil {
-					return err
-				}
-				s.genericPoints.Add(walked)
-				resp.Shard = req.Shard
-				resp.Points = make([]cluster.GenericPointSummary, len(sf.Points))
-				for i, p := range sf.Points {
-					resp.Points[i] = p.Summary(plan.names)
-				}
-				resp.Indices = sf.Indices
-			} else if req.FrontierOnly {
-				pts, _, err := plan.walk.FrontierParallel(req.Work, 0)
-				if err != nil {
-					return err
-				}
-				s.genericPoints.Add(plan.enumeratedSize())
-				resp.Points = make([]cluster.GenericPointSummary, len(pts))
-				for i, p := range pts {
-					resp.Points[i] = p.Summary(plan.names)
-				}
-			} else {
-				resp.Points = make([]cluster.GenericPointSummary, 0, req.Limit)
-				n := 0
-				err := plan.walk.ForEach(req.Work, func(p cluster.GenericPoint) bool {
-					// Pure arithmetic walk: poll for cancellation at coarse
-					// intervals, as in enumerateBytes.
-					n++
-					if n&0x1fff == 0 && ctx.Err() != nil {
-						return false
-					}
-					if len(resp.Points) >= req.Limit {
-						resp.Truncated = true
-						return false
-					}
-					resp.Points = append(resp.Points, p.Summary(plan.names))
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				s.genericPoints.Add(uint64(n))
-			}
-			if plan.prunedSize > 0 {
-				s.genericPruned.Add(plan.spaceSize - plan.prunedSize)
+			var err error
+			resp.Indices, resp.Truncated, err = s.walkGeneric(ctx, plan, req, func(p *cluster.GenericPointSummary) bool {
+				resp.Points = append(resp.Points, *p)
+				return true
+			})
+			if err != nil {
+				return err
 			}
 			resp.Returned = len(resp.Points)
 			// The cancellation-aware encoder: a deadline that expires while

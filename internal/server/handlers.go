@@ -469,38 +469,13 @@ func (s *Server) enumerateBytes(r *http.Request, req EnumerateRequest) (body []b
 				SpaceSize:    tbl.Size(req.MaxARM, req.MaxAMD),
 				FrontierOnly: req.FrontierOnly,
 			}
-			if req.FrontierOnly {
-				pts, _, err := tbl.Frontier(req.MaxARM, req.MaxAMD, req.Work)
-				if err != nil {
-					return err
-				}
-				resp.Points = make([]cluster.PointSummary, len(pts))
-				for i, p := range pts {
-					resp.Points[i] = p.Summary()
-				}
-			} else {
-				resp.Points = make([]cluster.PointSummary, 0, min(req.Limit, resp.SpaceSize))
-				n := 0
-				err := tbl.ForEach(req.MaxARM, req.MaxAMD, req.Work, func(p cluster.Point) bool {
-					// The walk is pure arithmetic; poll for cancellation at
-					// coarse intervals so a timed-out request stops burning CPU.
-					n++
-					if n&0x1fff == 0 && ctx.Err() != nil {
-						return false
-					}
-					if len(resp.Points) >= req.Limit {
-						resp.Truncated = true
-						return false
-					}
-					resp.Points = append(resp.Points, p.Summary())
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
+			resp.Points = make([]cluster.PointSummary, 0, min(req.Limit, resp.SpaceSize))
+			resp.Truncated, err = walkEnumerate(ctx, tbl, req, func(p *cluster.PointSummary) bool {
+				resp.Points = append(resp.Points, *p)
+				return true
+			})
+			if err != nil {
+				return err
 			}
 			resp.Returned = len(resp.Points)
 			// The cancellation-aware encoder: a deadline that expires while

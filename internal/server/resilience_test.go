@@ -8,6 +8,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -221,6 +222,39 @@ func TestEnumerateBreakerDegradedServing(t *testing.T) {
 	}
 	if h.Cache.StaleServes < 3 {
 		t.Errorf("stale_serves = %d, want >= 3", h.Cache.StaleServes)
+	}
+}
+
+// TestClientCancellationsAreBreakerNeutral: a shard request whose
+// client hung up before its walk (a hedge loser, say) answers the
+// "request cancelled" 503, counts neither evaluated points nor a
+// request error, and never opens the enumerate breaker, so the next
+// healthy request is answered.
+func TestClientCancellationsAreBreakerNeutral(t *testing.T) {
+	s := newTestServer(t, Options{BreakerThreshold: 3, BreakerCooldown: time.Minute})
+	body := triBody + `,"frontier_only":true,"shard":"0/2"}`
+	const errs = `heteromixd_request_errors_total{endpoint="enumerate-generic"}`
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/enumerate-generic",
+			strings.NewReader(body)).WithContext(ctx))
+		if rr.Code != http.StatusServiceUnavailable || !strings.Contains(rr.Body.String(), "request cancelled") {
+			t.Fatalf("cancelled request %d: status %d %s, want the request-cancelled 503", i, rr.Code, rr.Body)
+		}
+	}
+	if n := s.genericPoints.Value(); n != 0 {
+		t.Errorf("cancelled requests evaluated %d points", n)
+	}
+	if n := s.reg.Snapshot()[errs]; n != 0 {
+		t.Errorf("cancelled requests counted %v request errors", n)
+	}
+	if st := s.BreakerState(); st != resilience.Closed {
+		t.Fatalf("breaker %v after 3 cancelled requests, want closed", st)
+	}
+	if rr := post(t, s, "/v1/enumerate-generic", body); rr.Code != http.StatusOK {
+		t.Fatalf("healthy request after cancellations: status %d %s", rr.Code, rr.Body)
 	}
 }
 

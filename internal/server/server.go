@@ -429,9 +429,14 @@ func New(opts Options) (*Server, error) {
 	}
 	s.registerMetrics()
 	s.chaos.OnInject = func(kind string) { s.chaosInject[kind].Inc() }
+	// Client cancellations are neutral on every breaker: a hedge loser or
+	// a client that hung up abandoned its call, the compute path did not
+	// refuse it. A deadline that expires still counts as a failure.
+	breakerFailure := func(err error) bool { return !errors.Is(err, context.Canceled) }
 	s.breaker = resilience.NewBreaker(resilience.BreakerOptions{
 		FailureThreshold: opts.BreakerThreshold,
 		Cooldown:         opts.BreakerCooldown,
+		IsFailure:        breakerFailure,
 		OnStateChange: func(_, to resilience.BreakerState) {
 			s.breakerState.Set(int64(to))
 			if to == resilience.Open {
@@ -442,15 +447,13 @@ func New(opts Options) (*Server, error) {
 	if len(opts.Replicas) > 0 {
 		// One breaker per replica URL: a dead replica fails its shards
 		// fast; every open transition is counted fleet-wide and mirrored
-		// into that target's labeled breaker_state gauge. Context
-		// cancellations are neutral — a hedge loser was abandoned, not
-		// refused, so it must not trip a healthy replica's breaker.
+		// into that target's labeled breaker_state gauge.
 		s.fleet = newFleetClient(func(target string) *resilience.Breaker {
 			gauge := s.targetBreaker[target]
 			return resilience.NewBreaker(resilience.BreakerOptions{
 				FailureThreshold: opts.BreakerThreshold,
 				Cooldown:         opts.BreakerCooldown,
-				IsFailure:        func(err error) bool { return !errors.Is(err, context.Canceled) },
+				IsFailure:        breakerFailure,
 				OnStateChange: func(_, to resilience.BreakerState) {
 					if gauge != nil {
 						gauge.Set(int64(to))

@@ -223,48 +223,19 @@ func (s *Server) streamEnumerate(w http.ResponseWriter, r *http.Request, req Enu
 			return nil
 		}
 		var tr streamTrailer
-		if req.FrontierOnly {
-			pts, _, err := tbl.Frontier(req.MaxARM, req.MaxAMD, req.Work)
-			if err != nil {
-				return err
+		tr.Truncated, err = walkEnumerate(ctx, tbl, req, func(p *cluster.PointSummary) bool {
+			// A failed write is a gone client: shed the rest of the walk.
+			if ls.sw.Record(stream.EventPoint, func(b []byte) []byte { return stream.AppendPointSummary(b, p) }) != nil {
+				return false
 			}
-			for i := range pts {
-				sum := pts[i].Summary()
-				if ls.sw.Record(stream.EventPoint, func(b []byte) []byte {
-					return stream.AppendPointSummary(b, &sum)
-				}) != nil {
-					return nil
-				}
-			}
-			tr.Returned = len(pts)
-		} else {
-			walkErr := tbl.ForEach(req.MaxARM, req.MaxAMD, req.Work, func(p cluster.Point) bool {
-				if tr.Returned >= req.Limit {
-					tr.Truncated = true
-					return false
-				}
-				sum := p.Summary()
-				if ls.sw.Record(stream.EventPoint, func(b []byte) []byte {
-					return stream.AppendPointSummary(b, &sum)
-				}) != nil {
-					// A failed write is a gone client: shed the rest of the walk.
-					return false
-				}
-				tr.Returned++
-				return tr.Returned&0xff != 0 || ctx.Err() == nil
-			})
-			if walkErr != nil {
-				return walkErr
-			}
-			if ls.shed() {
-				return nil
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
+			tr.Returned++
+			return true
+		})
 		if ls.shed() {
 			return nil
+		}
+		if err != nil {
+			return err
 		}
 		return ls.trailer(tr)
 	})
@@ -340,18 +311,6 @@ func (s *Server) emitDelta(ls *liveStream, prev, next [][]byte, tr *streamTraile
 	return nil
 }
 
-// encodeGenericRows materializes each point's encoded row — only for
-// the delta paths, which need the row set as data to diff and store;
-// plain streams encode straight into the chunk buffer instead.
-func encodeGenericRows(pts []cluster.GenericPoint, names []string) [][]byte {
-	rows := make([][]byte, len(pts))
-	for i := range pts {
-		sum := pts[i].Summary(names)
-		rows[i] = stream.AppendGenericPointSummary(nil, &sum)
-	}
-	return rows
-}
-
 // streamGeneric serves a negotiated streamed /v1/enumerate-generic
 // (NDJSON on the POST, SSE on the GET variant): shard slices,
 // frontier-only (where deltas apply), and the limited full walk.
@@ -378,88 +337,41 @@ func (s *Server) streamGeneric(w http.ResponseWriter, r *http.Request, req Enume
 			return nil
 		}
 		var tr streamTrailer
-		switch {
-		case plan.shard.Count > 0:
-			sf, walked, err := s.shardFrontier(ctx, plan, req)
-			if err != nil {
-				if ls.shed() {
-					return nil
-				}
-				return err
-			}
-			s.genericPoints.Add(walked)
-			for i := range sf.Points {
-				sum := sf.Points[i].Summary(plan.names)
-				if ls.sw.Record(stream.EventPoint, func(b []byte) []byte {
-					return stream.AppendGenericPointSummary(b, &sum)
-				}) != nil {
-					return nil
-				}
-			}
-			tr.Returned = len(sf.Points)
-			tr.Indices = sf.Indices
-		case req.FrontierOnly:
-			pts, _, err := plan.walk.FrontierParallel(req.Work, 0)
-			if err != nil {
-				return err
-			}
-			s.genericPoints.Add(plan.enumeratedSize())
+		// A delta stream needs the whole frontier as rows before it can
+		// diff; every other stream writes each point as the walk proves it.
+		var rows [][]byte
+		idx, truncated, err := s.walkGeneric(ctx, plan, req, func(p *cluster.GenericPointSummary) bool {
 			if req.Delta {
-				rows := encodeGenericRows(pts, plan.names)
-				tr.Returned = len(rows)
-				var emitErr error
-				if prev != nil {
-					emitErr = s.emitDelta(ls, prev, rows, &tr)
-				} else {
-					emitErr = ls.emitRows(rows)
-				}
-				// The new frontier becomes the predecessor even if the client
-				// vanished mid-emit: it reflects a completed walk.
-				s.cache.Add(deltaKey, delta.Join(rows))
-				if emitErr != nil {
-					return nil
-				}
-			} else {
-				for i := range pts {
-					sum := pts[i].Summary(plan.names)
-					if ls.sw.Record(stream.EventPoint, func(b []byte) []byte {
-						return stream.AppendGenericPointSummary(b, &sum)
-					}) != nil {
-						return nil
-					}
-				}
-				tr.Returned = len(pts)
+				rows = append(rows, stream.AppendGenericPointSummary(nil, p))
+				return true
 			}
-		default:
-			n := 0
-			walkErr := plan.walk.ForEach(req.Work, func(p cluster.GenericPoint) bool {
-				n++
-				if tr.Returned >= req.Limit {
-					tr.Truncated = true
-					return false
-				}
-				sum := p.Summary(plan.names)
-				if ls.sw.Record(stream.EventPoint, func(b []byte) []byte {
-					return stream.AppendGenericPointSummary(b, &sum)
-				}) != nil {
-					return false
-				}
-				tr.Returned++
-				return n&0xff != 0 || ctx.Err() == nil
-			})
-			if walkErr != nil {
-				return walkErr
+			if ls.sw.Record(stream.EventPoint, func(b []byte) []byte { return stream.AppendGenericPointSummary(b, p) }) != nil {
+				return false
 			}
+			tr.Returned++
+			return true
+		})
+		if err != nil {
 			if ls.shed() {
 				return nil
 			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			s.genericPoints.Add(uint64(n))
+			return err
 		}
-		if plan.prunedSize > 0 {
-			s.genericPruned.Add(plan.spaceSize - plan.prunedSize)
+		tr.Indices, tr.Truncated = idx, truncated
+		if req.Delta {
+			tr.Returned = len(rows)
+			var emitErr error
+			if prev != nil {
+				emitErr = s.emitDelta(ls, prev, rows, &tr)
+			} else {
+				emitErr = ls.emitRows(rows)
+			}
+			// The new frontier becomes the predecessor even if the client
+			// vanished mid-emit: it reflects a completed walk.
+			s.cache.Add(deltaKey, delta.Join(rows))
+			if emitErr != nil {
+				return nil
+			}
 		}
 		if ls.shed() {
 			return nil
