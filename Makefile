@@ -85,13 +85,14 @@ bench:
 		-benchmem -benchtime=100x
 
 # The generic N-type enumeration paths on the tri-cluster space
-# (384,344 points): serial materialization, domination-pruned, streaming
-# frontier, and the production pruned+parallel+frontier path that must
-# stay ≥20× under the seed serial numbers (see README Performance). The
-# allocation gate holds the frontier walks (pruned 4/4/4 N-type, its
-# shard 0/2 as a replica walks it, 16x16 two-type) to their measured
-# allocs per walk: a walk that copies a point per frontier insert fails
-# it.
+# (384,344 points): serial materialization, domination-pruned, the
+# candidate frontier of the full space, and the production pruned
+# candidate frontier that must stay ≥20× under the seed serial numbers
+# (see README Performance). The allocation gate holds the frontier
+# paths (the pruned 4/4/4 N-type candidate frontier warm and folding per
+# call, its shard 0/2 as a replica walks it, the 16x16 two-type
+# candidate frontier warm and folding per call) to their measured allocs
+# per answer: a path that copies a point per frontier insert fails it.
 bench-generic:
 	$(GO) test ./internal/cluster -count=1 \
 		-run 'TestFrontierAllocGate' -v
@@ -100,9 +101,11 @@ bench-generic:
 		-benchmem -benchtime=3x
 
 # The core layers of the frontier path, one benchmark each (table
-# compile, bare walk, serial and parallel frontier, two-type frontier,
-# one shard's walk, shard merge), written to BENCH_core.json as
-# per-benchmark medians with the CPU count, Go version and commit.
+# compile, candidate fold, bare walk, candidate frontier warm and with
+# its fold, the FrontierParallel wrapper, two-type frontier warm and
+# with its fold, one shard's walk, shard merge), written to
+# BENCH_core.json as per-benchmark medians with the CPU count, Go
+# version and commit.
 bench-core:
 	GO=$(GO) bash scripts/bench-core.sh
 

@@ -19,8 +19,8 @@ import (
 // with the optimized two-type path: precomputed kernels
 // (generic_kernel.go), streaming (EnumerateGroupsFunc), per-type
 // domination pruning (PruneGroupTypes), parallel evaluation
-// (EnumerateGroupsParallel) and online Pareto frontiers
-// (GenericFrontierOf / GenericFrontierOfParallel).
+// (EnumerateGroupsParallel) and Pareto frontiers scored from a folded
+// candidate set (GenericFrontierOf, candidates.go).
 
 // GroupType describes one node type available to a generic cluster.
 type GroupType struct {
@@ -170,13 +170,12 @@ func EnumerateGroupsParallel(types []GroupType, w float64, workers int) ([]Gener
 	return g.EnumerateParallel(w, workers)
 }
 
-// GenericFrontierOf enumerates the generic space and returns only its
-// Pareto-optimal points, maintained online as the enumeration streams:
-// the space is never materialized and only retained points are copied
-// out of the scratch buffers. The returned TE slice is time-ascending
-// with each Index pointing into the returned point slice. Prune types
-// first (PruneGroupTypes) for the fast path — the pruned frontier
-// provably equals the full one.
+// GenericFrontierOf returns only the generic space's Pareto-optimal
+// points: it folds the space's frontier candidates, scores them alone
+// and copies out only the survivors, so the space is never walked. The
+// returned TE slice is time-ascending with each Index pointing into the
+// returned point slice. Prune types first (PruneGroupTypes) for the
+// fast path — the pruned frontier provably equals the full one.
 func GenericFrontierOf(types []GroupType, w float64) ([]GenericPoint, []pareto.TE, error) {
 	g, err := NewGenericTable(types)
 	if err != nil {
@@ -185,24 +184,15 @@ func GenericFrontierOf(types []GroupType, w float64) ([]GenericPoint, []pareto.T
 	return g.Frontier(w)
 }
 
-// genericFrontierChunk is the per-claim index run of the parallel
-// frontier: large enough to amortize the per-chunk cursor and frontier,
-// small enough that the dynamic scheduler balances uneven chunks.
-const genericFrontierChunk = 8192
-
-// GenericFrontierOfParallel is GenericFrontierOf fanned out over a
-// worker pool: each claimed chunk maintains its own online frontier
-// over scratch buffers, and the chunk frontiers are merged in
-// enumeration order, so the result is identical to the serial path
-// (including first-offered-wins among exact duplicates). The space is
-// never materialized — at most the per-chunk frontiers live at once.
-// workers <= 0 selects GOMAXPROCS.
+// GenericFrontierOfParallel is GenericFrontierOf, kept for callers of
+// the former fanned-out walk: the candidate frontier takes microseconds,
+// so workers is ignored.
 func GenericFrontierOfParallel(types []GroupType, w float64, workers int) ([]GenericPoint, []pareto.TE, error) {
 	g, err := NewGenericTable(types)
 	if err != nil {
 		return nil, nil, err
 	}
-	return g.FrontierParallel(w, workers)
+	return g.Frontier(w)
 }
 
 // PruneGroupTypes returns a copy of types with each used type's

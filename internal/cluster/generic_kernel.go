@@ -20,7 +20,7 @@ import (
 // size (validated per call) and per-point evaluation is infallible.
 //
 // score is the one arithmetic that turns coefficients into (T, E, split):
-// eval runs it for the materializing walks, and the frontier walks
+// eval runs it for the materializing walks, and the frontier paths
 // (frontier.go) run it alone, computing no point at all until a survivor
 // is decoded; cluster.Evaluate is the independent reference tests
 // compare it with. first/next are the one odometer, over any box of

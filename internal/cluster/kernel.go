@@ -215,6 +215,21 @@ func (v *pairView) seek(idx uint64) [2]*genOption {
 	return [2]*genOption{&v.opts[0][p0], &v.opts[1][p1]}
 }
 
+// paperIndex is seek's inverse: the paper-order index of the point at
+// vector vec (p0·R1 + p1) of the view's N-type order.
+func (v *pairView) paperIndex(vec uint64) uint64 {
+	r0, r1 := uint64(v.radix[0]-1), uint64(v.radix[1]-1)
+	p0, p1 := vec/(r1+1), vec%(r1+1)
+	switch {
+	case p0 > 0 && p1 > 0:
+		return (p0-1)*r1 + p1 - 1
+	case p1 == 0:
+		return r0*r1 + p0 - 1
+	default:
+		return r0*r1 + r0 + p1 - 1
+	}
+}
+
 // pairPoint decodes the Point of the picked (ARM, AMD) options straight
 // from them and from eval's results (an absent option has a zero
 // config).

@@ -125,6 +125,13 @@ type genericTables struct {
 	full, pruned *cluster.GenericTable
 }
 
+// newGenericTables assembles the artifact. It folds the pruned table's
+// frontier candidates here, before the table cache sizes the entry,
+// because every frontier answer walks the pruned table.
+func newGenericTables(full, pruned *cluster.GenericTable) *genericTables {
+	return &genericTables{full: full, pruned: pruned.WithCandidates()}
+}
+
 // SizeBytes reports the artifact's resident size to the table cache.
 func (g *genericTables) SizeBytes() int {
 	return g.full.SizeBytes() + g.pruned.SizeBytes()
@@ -165,7 +172,7 @@ func (s *Server) genericTablesFor(workload string, reqTypes []GenericTypeRequest
 			return nil, err
 		}
 		s.tableBuilds.Add(2)
-		return &genericTables{full: ft, pruned: pt}, nil
+		return newGenericTables(ft, pt), nil
 	})
 	if err != nil {
 		return nil, err

@@ -146,6 +146,46 @@ func TestEnumerateGenericMetrics(t *testing.T) {
 	}
 }
 
+// TestGenericFrontierScoresCandidates pins what a frontier answer
+// costs and caches: it scores exactly the pruned table's frontier
+// candidates, so generic_points_evaluated_total moves by the candidate
+// count, and the table cache accounts the artifact with its candidate
+// set, folded before insert.
+func TestGenericFrontierScoresCandidates(t *testing.T) {
+	s := newTestServer(t, Options{})
+	if rr := post(t, s, "/v1/enumerate-generic", triBody+`,"frontier_only":true}`); rr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	}
+	types := triGroupTypes(t)
+	pruned, err := cluster.PruneGroupTypes(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := cluster.NewGenericTable(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := cluster.NewGenericTable(pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := bare.WithCandidates()
+	cands := pt.Candidates(50e6)
+	if cands == 0 || cands >= pt.Size() {
+		t.Fatalf("%d candidates of %d points: the fold kept nothing or everything", cands, pt.Size())
+	}
+	if got := s.genericPoints.Value(); got != cands {
+		t.Errorf("generic_points_evaluated_total = %d, want the %d candidates", got, cands)
+	}
+	want := int64(full.SizeBytes() + pt.SizeBytes())
+	if pt.SizeBytes() <= bare.SizeBytes() {
+		t.Errorf("candidate set adds nothing to SizeBytes (%d <= %d)", pt.SizeBytes(), bare.SizeBytes())
+	}
+	if got := s.TableCacheStats().Bytes; got != want {
+		t.Errorf("table_cache_bytes = %d, want the artifact's %d, candidates included", got, want)
+	}
+}
+
 func TestEnumerateGenericRejections(t *testing.T) {
 	s := newTestServer(t, Options{MaxNodes: 12, MaxGenericSpace: 100_000})
 	cases := []struct {

@@ -552,7 +552,7 @@ func (s *Server) registerMetrics() {
 	s.degraded = r.NewCounter("heteromixd_degraded_responses_total",
 		"responses served stale and marked degraded")
 	s.genericPoints = r.NewCounter("heteromixd_generic_points_evaluated_total",
-		"N-type configurations evaluated by /v1/enumerate-generic")
+		"N-type configurations /v1/enumerate-generic scored: a frontier answer's candidates, a shard's slice, a limited walk's points")
 	s.genericPruned = r.NewCounter("heteromixd_generic_points_pruned_total",
 		"N-type configurations skipped by domination pruning")
 	s.breakerState = r.NewGauge("heteromixd_breaker_state",

@@ -191,7 +191,7 @@ func (s *Server) applySnapshot(snap *snapshot.Snapshot) error {
 		if err != nil {
 			return fmt.Errorf("snapshot generic %q: %w", e.Key, err)
 		}
-		arts = append(arts, keyedArtifact{key: e.Key, val: &genericTables{full: full, pruned: pruned}})
+		arts = append(arts, keyedArtifact{key: e.Key, val: newGenericTables(full, pruned)})
 	}
 
 	// Trim each list to the hottest prefix that fits. The combined table
